@@ -10,7 +10,7 @@ from fraclag import (
     Params,
     apply_resolvent,
     exact_diagonal_apply,
-    mode_counts,
+    scheme,
 )
 
 d = 10.0 ** np.linspace(0.0, 16.0, 161)
@@ -26,8 +26,7 @@ for n in (10, 20, 30, 40, 50, 60):
     for mode in ("standard", "balanced", "truncated"):
         got = apply_resolvent(op, b, p, n, mode)
         err = float(np.abs(got - exact).max())
-        (_, _), (c1, c2) = mode_counts(n, p, mode)
-        print(f"{n:>4} {mode:>10} {c1 + c2:>7} {err:>12.3e}")
+        print(f"{n:>4} {mode:>10} {scheme(n, p, mode).solves:>7} {err:>12.3e}")
 
 # solves needed to push the max-entry error under 1e-6, per mode
 print()
@@ -35,6 +34,5 @@ for mode in ("standard", "balanced", "truncated"):
     for n in range(5, 200):
         err = float(np.abs(apply_resolvent(op, b, p, n, mode) - exact).max())
         if err <= 1e-6:
-            (_, _), (c1, c2) = mode_counts(n, p, mode)
-            print(f"{mode}: n={n}, {c1 + c2} solves, error {err:.2e}")
+            print(f"{mode}: n={n}, {scheme(n, p, mode).solves} solves, error {err:.2e}")
             break

@@ -17,10 +17,11 @@ for alpha in (0.6, 0.75):
     print()
 
 # cost of the three variants at a fixed accuracy target
-from fraclag import plan_for_tolerance
+from fraclag import plan_for_tolerance, scheme
 
 p = Params(0.5, 1e-2)
 for tol in (1e-4, 1e-6, 1e-8):
-    plan = plan_for_tolerance(tol, p)
-    print(f"tol={tol:.0e}: n={plan.n}, standard cost {2 * plan.n}, "
-          f"balanced {plan.n + plan.m}, truncated {plan.inversions}")
+    n = plan_for_tolerance(tol, p).n
+    cost = {mode: scheme(n, p, mode).solves for mode in ("standard", "balanced", "truncated")}
+    print(f"tol={tol:.0e}: n={n}, standard cost {cost['standard']}, "
+          f"balanced {cost['balanced']}, truncated {cost['truncated']}")

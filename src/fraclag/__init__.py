@@ -7,117 +7,22 @@ estimates drive the sizing of the two rules (balancing) and the removal of
 negligible tail nodes (truncation).
 """
 
-from .estimates import (
-    CURVATURE_C,
-    EstimateBreakdown,
-    GSequences,
-    PoleSet,
-    eps1,
-    eps2,
-    g_sequences,
-    gamma_pm,
-    lambda_bar,
-    lambda_bbar,
-    n_star,
-    n_star_star,
-    poles,
-    q_estimates,
-    standard_estimate,
-)
-from .integrands import Params, bounds, exact_scalar_resolvent, f1, f2
-from .laguerre import (
-    MAX_RULE_SIZE,
-    QuadratureRule,
-    TruncationIndex,
-    gauss_laguerre,
-    truncation_index,
-)
-from .operators import (
-    MODES,
-    CallbackOperator,
-    DenseOperator,
-    DiagonalOperator,
-    OperatorError,
-    OperatorHandle,
-    ShiftedSystem,
-    apply_resolvent,
-    mode_counts,
-    node_system,
-    scalar_approx,
-)
-from .oracle import (
-    OracleError,
-    RepresentationCheck,
-    SweepRecord,
-    error_sweep,
-    exact_diagonal_apply,
-    representation_check,
-)
-from .planner import (
-    Plan,
-    analytic_j,
-    asymptotic_estimates,
-    balance_m,
-    balanced_estimate,
-    make_plan,
-    plan_for_tolerance,
-    thresholds,
-    truncated_estimate,
-)
+from . import estimates, integrands, laguerre, operators, oracle, planner
+from .estimates import *  # noqa: F403
+from .integrands import *  # noqa: F403
+from .laguerre import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .planner import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "MAX_RULE_SIZE",
-    "MODES",
-    "CURVATURE_C",
-    "QuadratureRule",
-    "TruncationIndex",
-    "gauss_laguerre",
-    "truncation_index",
-    "Params",
-    "f1",
-    "f2",
-    "bounds",
-    "exact_scalar_resolvent",
-    "PoleSet",
-    "EstimateBreakdown",
-    "GSequences",
-    "poles",
-    "gamma_pm",
-    "lambda_bar",
-    "lambda_bbar",
-    "q_estimates",
-    "g_sequences",
-    "n_star",
-    "n_star_star",
-    "eps1",
-    "eps2",
-    "standard_estimate",
-    "Plan",
-    "balance_m",
-    "thresholds",
-    "analytic_j",
-    "make_plan",
-    "balanced_estimate",
-    "truncated_estimate",
-    "asymptotic_estimates",
-    "plan_for_tolerance",
-    "ShiftedSystem",
-    "OperatorHandle",
-    "OperatorError",
-    "DiagonalOperator",
-    "DenseOperator",
-    "CallbackOperator",
-    "node_system",
-    "mode_counts",
-    "apply_resolvent",
-    "scalar_approx",
-    "RepresentationCheck",
-    "SweepRecord",
-    "OracleError",
-    "exact_diagonal_apply",
-    "representation_check",
-    "error_sweep",
+    *laguerre.__all__,
+    *integrands.__all__,
+    *estimates.__all__,
+    *planner.__all__,
+    *operators.__all__,
+    *oracle.__all__,
 ]

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io
-from .estimates import eps1, eps2, g_sequences, n_star, n_star_star, standard_estimate
+from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
 from .integrands import Params
 from .laguerre import MAX_RULE_SIZE
 from .operators import (
@@ -23,14 +23,10 @@ from .operators import (
     DiagonalOperator,
     OperatorError,
     apply_resolvent,
+    scheme,
 )
 from .oracle import OracleError, error_sweep, exact_diagonal_apply
-from .planner import (
-    balanced_estimate,
-    make_plan,
-    plan_for_tolerance,
-    truncated_estimate,
-)
+from .planner import make_plan, plan_for_tolerance, truncated_estimate
 
 __all__ = ["main", "build_parser", "benchmark_diagonal"]
 
@@ -148,14 +144,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _mode_cost(plan, mode: str) -> int:
-    if mode == "standard":
-        return 2 * plan.n
-    if mode == "balanced":
-        return plan.n + plan.m
-    return plan.inversions
-
-
 def _cmd_operator_error(args) -> int:
     p = Params(alpha=args.alpha, h=args.h)
     entries = io.read_diagonal(args.diag_file) if args.diag_file else benchmark_diagonal()
@@ -165,22 +153,18 @@ def _cmd_operator_error(args) -> int:
     wanted = MODES if args.mode == "all" else (args.mode,)
     header = ["n", "inversions", "err_standard", "est_standard",
               "err_balanced", "est_balanced", "err_truncated", "est_truncated"]
+    cost_mode = "truncated" if args.mode == "all" else args.mode
     rows = []
     for n in args.n_list:
-        plan = make_plan(n, p)
-        cells = {}
-        for mode in wanted:
-            err = float(np.abs(apply_resolvent(op, b, p, n, mode) - exact).max())
-            cells[f"err_{mode}"] = err
-        cells["est_standard"] = standard_estimate(n, p)
-        cells["est_balanced"] = balanced_estimate(n, p)
-        cells["est_truncated"] = truncated_estimate(plan, p)
-        cost = _mode_cost(plan, "truncated" if args.mode == "all" else args.mode)
+        err = {
+            mode: float(np.abs(apply_resolvent(op, b, p, n, mode) - exact).max())
+            for mode in wanted
+        }
         rows.append((
-            n, cost,
-            cells.get("err_standard", ""), cells["est_standard"],
-            cells.get("err_balanced", ""), cells["est_balanced"],
-            cells.get("err_truncated", ""), cells["est_truncated"],
+            n, scheme(n, p, cost_mode).solves,
+            err.get("standard", ""), scheme(n, p, "standard").predicted_error,
+            err.get("balanced", ""), scheme(n, p, "balanced").predicted_error,
+            err.get("truncated", ""), truncated_estimate(make_plan(n, p), p),
         ))
     _emit(args.out, header, rows)
     return 0
@@ -196,16 +180,11 @@ def _cmd_apply(args) -> int:
     result = apply_resolvent(op, b, p, args.n, args.mode)
     io.write_vector(args.out, result)
     plan = make_plan(args.n, p)
-    if args.mode == "standard":
-        predicted = standard_estimate(args.n, p)
-    elif args.mode == "balanced":
-        predicted = balanced_estimate(args.n, p)
-    else:
-        predicted = plan.predicted_error
+    chosen = scheme(args.n, p, args.mode)
     print(
         f"plan: n={plan.n} m={plan.m} k_n={plan.k_n} k_m={plan.k_m} "
-        f"j_n={plan.j_n} j_m={plan.j_m} solves={_mode_cost(plan, args.mode)} "
-        f"predicted_error={predicted:.6e}",
+        f"j_n={plan.j_n} j_m={plan.j_m} solves={chosen.solves} "
+        f"predicted_error={chosen.predicted_error:.6e}",
         file=sys.stderr,
     )
     return 0

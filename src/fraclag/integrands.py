@@ -13,6 +13,7 @@ positive and smooth, which is what makes Gauss-Laguerre rules effective.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,8 @@ __all__ = ["Params", "f1", "f2", "bounds", "exact_scalar_resolvent"]
 
 @dataclass(frozen=True)
 class Params:
-    """Fractional power ``alpha`` in (0, 1) and scaling ``h > 0``.
+    """Fractional power ``alpha`` in (0, 1) and scaling ``h > 0`` such that
+    ``h**(1/alpha)`` is a finite positive double.
 
     Derived quantities used throughout the package are computed once and
     cached on the instance.
@@ -39,6 +41,12 @@ class Params:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"h must be finite and positive, got {self.h!r}")
+        # h**(1/alpha) scales every shifted solve; past this it is no longer a
+        # finite positive double
+        if abs(math.log(h) / alpha) > math.log(sys.float_info.max):
+            raise ValueError(
+                f"h**(1/alpha) is out of double range at alpha={self.alpha!r}, h={self.h!r}"
+            )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "h", h)
 

@@ -135,11 +135,17 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     ValueError
         If ``n`` is not an integer in ``[1, MAX_RULE_SIZE]``.
     """
+    return _build_rule(_rule_size(n))
+
+
+def _rule_size(n) -> int:
+    """``n`` as a Python int, or ValueError unless it is an integer (NumPy
+    integers included) in ``[1, MAX_RULE_SIZE]``."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"rule size must be an integer, got {n!r}")
     if n < 1 or n > MAX_RULE_SIZE:
         raise ValueError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {n}")
-    return _build_rule(int(n))
+    return int(n)
 
 
 def truncation_index(rule: QuadratureRule, s: float) -> TruncationIndex:

@@ -14,14 +14,15 @@ import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .estimates import standard_estimate
 from .integrands import Params
-from .laguerre import gauss_laguerre
-from .planner import balance_m, make_plan
+from .laguerre import _rule_size, gauss_laguerre
+from .planner import balance_m, balanced_estimate, make_plan
 
 __all__ = [
     "OperatorError",
@@ -31,6 +32,8 @@ __all__ = [
     "DenseOperator",
     "CallbackOperator",
     "node_system",
+    "Scheme",
+    "scheme",
     "mode_counts",
     "apply_resolvent",
     "scalar_approx",
@@ -190,27 +193,45 @@ class CallbackOperator(OperatorHandle):
         return y
 
 
-def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rule sizes and kept-node counts ((n1, n2), (k1, k2)) of a mode.
+class Scheme(NamedTuple):
+    """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
+    ``(k1, k2)`` of each rule that become shifted solves, and the a-priori
+    error estimate the mode advertises."""
 
-    standard runs both integrands at ``n``; balanced shrinks the second rule;
-    truncated additionally keeps only the plan's leading nodes of each rule.
-    """
+    sizes: tuple[int, int]
+    kept: tuple[int, int]
+    predicted_error: float
+
+    @property
+    def solves(self) -> int:
+        """Shifted solves per application, one per kept node."""
+        return sum(self.kept)
+
+
+def scheme(n: int, p: Params, mode: str) -> Scheme:
+    """The scheme of ``mode`` at first-rule size ``n``; the only place a mode
+    is turned into sizes, solves and an advertised error."""
+    n = _rule_size(n)
     if mode == "standard":
-        return (n, n), (n, n)
+        return Scheme((n, n), (n, n), standard_estimate(n, p))
     if mode == "balanced":
         m = balance_m(n, p)
-        return (n, m), (n, m)
+        return Scheme((n, m), (n, m), balanced_estimate(n, p))
     if mode == "truncated":
         plan = make_plan(n, p)
-        return (n, plan.m), (plan.k_n, plan.k_m)
+        return Scheme((n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error)
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Rule sizes and kept-node counts ((n1, n2), (k1, k2)) of a mode."""
+    return scheme(n, p, mode)[:2]
+
+
 def _systems_for(n: int, p: Params, mode: str) -> list[ShiftedSystem]:
-    sizes, counts = mode_counts(n, p, mode)
+    sizes, kept, _ = scheme(n, p, mode)
     systems: list[ShiftedSystem] = []
-    for size, count, which in zip(sizes, counts, ("first", "second")):
+    for size, count, which in zip(sizes, kept, ("first", "second")):
         rule = gauss_laguerre(size)
         systems.extend(
             node_system(rule.nodes[j], rule.weights[j], which, p) for j in range(count)
@@ -236,7 +257,7 @@ def apply_resolvent(
 
     The solves are independent and may run on a thread pool (capped by the
     FRACLAG_THREADS environment variable), but the solutions are reduced in
-    fixed node order so results are bit-reproducible.
+    fixed node order as they arrive, so results are bit-reproducible.
     """
     vec = np.asarray(b, dtype=float)
     if vec.ndim != 1:
@@ -247,19 +268,22 @@ def apply_resolvent(
         )
     systems = _systems_for(n, p, mode)
 
+    def solve(s: ShiftedSystem) -> np.ndarray:
+        return op.solve_shifted(s.sigma, s.tau, vec)
+
+    def weighted_sum(solutions: Iterator[np.ndarray]) -> np.ndarray:
+        # Each solution is added as it arrives and then dropped, so the
+        # serial path holds one at a time.
+        acc = np.zeros_like(vec)
+        for system in systems:
+            acc += system.scale * next(solutions)
+        return p.prefactor * acc
+
     workers = _worker_count()
     if workers > 1 and len(systems) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(
-                pool.map(lambda s: op.solve_shifted(s.sigma, s.tau, vec), systems)
-            )
-    else:
-        solutions = [op.solve_shifted(s.sigma, s.tau, vec) for s in systems]
-
-    acc = np.zeros_like(vec)
-    for system, y in zip(systems, solutions):
-        acc += system.scale * y
-    return p.prefactor * acc
+            return weighted_sum(pool.map(solve, systems))
+    return weighted_sum(map(solve, systems))
 
 
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:

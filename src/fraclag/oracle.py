@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .estimates import q_estimates
 from .integrands import Params, bounds, exact_scalar_resolvent, f1, f2
 from .laguerre import gauss_laguerre
-from .operators import mode_counts, scalar_approx
+from .operators import DiagonalOperator, apply_resolvent, scheme
 
 __all__ = [
     "OracleError",
@@ -141,21 +141,24 @@ def _sweep_reference(which: int, lam: float, p: Params) -> float:
 def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "standard") -> list[SweepRecord]:
     """Measured-vs-estimated errors over a grid of spectral points.
 
-    Per point: the total error of the assembled approximation, the two
+    Per point: the total error of the assembled approximation (one
+    diagonal apply over the whole grid), the two
     per-integral quadrature errors against adaptive references, and the four
     modulus estimates with their active regimes.
     """
-    (n1, n2), (c1, c2) = mode_counts(n, p, mode)
+    grid = [float(lam) for lam in lambda_grid]
+    if not grid:
+        return []
+    (n1, n2), (c1, c2), _ = scheme(n, p, mode)
     rule1 = gauss_laguerre(n1)
     rule2 = gauss_laguerre(n2)
     x1, w1 = rule1.nodes[:c1], rule1.weights[:c1]
     x2, w2 = rule2.nodes[:c2], rule2.weights[:c2]
+    approx = apply_resolvent(DiagonalOperator(grid), np.ones(len(grid)), p, n, mode)
 
     records = []
-    for lam in lambda_grid:
-        lam = float(lam)
+    for lam, approx_lam in zip(grid, approx):
         exact = exact_scalar_resolvent(lam, p)
-        approx = scalar_approx(lam, p, n, mode)
         int1 = float(w1 @ f1(x1, lam, p))
         int2 = float(w2 @ f2(x2, lam, p))
         est = q_estimates(lam, n1, p)
@@ -163,7 +166,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
         records.append(
             SweepRecord(
                 lam=lam,
-                err_total=abs(exact - approx),
+                err_total=abs(exact - float(approx_lam)),
                 err_int1=abs(_sweep_reference(1, lam, p) - int1),
                 err_int2=abs(_sweep_reference(2, lam, p) - int2),
                 q_I=est.q_I,

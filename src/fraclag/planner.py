@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .estimates import CURVATURE_C, eps1, eps2, n_star, n_star_star
 from .integrands import Params, bounds
-from .laguerre import MAX_RULE_SIZE, QuadratureRule, gauss_laguerre, truncation_index
+from .laguerre import _rule_size, gauss_laguerre, truncation_index
 
 __all__ = [
     "Plan",
@@ -58,20 +58,12 @@ class Plan:
     inversions: int
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1 or n > MAX_RULE_SIZE:
-        raise ValueError(f"n must be in [1, {MAX_RULE_SIZE}], got {n}")
-    return n
-
-
 def balance_m(n: int, p: Params) -> int:
     """Second-integrand rule size matching the first integrand's accuracy.
 
     The raw balance value is rounded up and clamped into ``[1, n]``.
     """
-    n = _check_n(n)
+    n = _rule_size(n)
     a = p.alpha
     ns = n_star(p)
     nss = n_star_star(p)
@@ -87,16 +79,12 @@ def balance_m(n: int, p: Params) -> int:
 def thresholds(n: int, m: int, p: Params) -> tuple[float, float]:
     """Node cutoffs ``(s1, s2)``: contributions beyond them are smaller than
     the quadrature errors already committed.  Clamped below at 0."""
-    _check_n(n)
-    _check_n(m)
+    _rule_size(n)
+    _rule_size(m)
     k1, k2 = bounds(p)
     s1 = max(0.0, -math.log(eps1(n, p) / k1))
     s2 = max(0.0, -math.log(eps2(m, p) / k2))
     return s1, s2
-
-
-def _numeric_k(rule: QuadratureRule, s: float) -> int:
-    return truncation_index(rule, s).index
 
 
 def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
@@ -105,8 +93,8 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     ``j_m``'s formula can go negative once ``h >= 1``; it then falls back to
     the numeric truncation index of the ``m``-point rule.
     """
-    n = _check_n(n)
-    m = _check_n(m)
+    n = _rule_size(n)
+    m = _rule_size(m)
     a = p.alpha
     pi = math.pi
 
@@ -124,7 +112,7 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     val = 4.0 * m / pi**2 * inner
     if val <= 0.0:
         _, s2 = thresholds(n, m, p)
-        j_m = _numeric_k(gauss_laguerre(m), s2)
+        j_m = truncation_index(gauss_laguerre(m), s2).index
     else:
         j_m = min(max(math.floor(math.sqrt(val) + _ROUND_FUZZ), 1), m)
     return j_n, j_m
@@ -132,11 +120,11 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
 
 def make_plan(n: int, p: Params) -> Plan:
     """Full sizing decision for a truncated resolvent application at size ``n``."""
-    n = _check_n(n)
+    n = _rule_size(n)
     m = balance_m(n, p)
     s1, s2 = thresholds(n, m, p)
-    k_n = _numeric_k(gauss_laguerre(n), s1)
-    k_m = _numeric_k(gauss_laguerre(m), s2)
+    k_n = truncation_index(gauss_laguerre(n), s1).index
+    k_m = truncation_index(gauss_laguerre(m), s2).index
     j_n, j_m = analytic_j(n, m, p)
     predicted = 4.0 * p.prefactor * eps1(n, p)
     return Plan(
@@ -155,7 +143,7 @@ def make_plan(n: int, p: Params) -> Plan:
 
 def balanced_estimate(n: int, p: Params) -> float:
     """A-priori bound for the balanced method: twice the dominant decay."""
-    _check_n(n)
+    n = _rule_size(n)
     return 2.0 * p.prefactor * eps1(n, p)
 
 

@@ -168,6 +168,24 @@ def test_apply_reports_dimension_mismatch(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("h", ["1e8", "1e-8"])
+def test_out_of_range_parameters_are_refused(tmp_path, capsys, h):
+    # h**(1/alpha) is not a finite positive double at alpha = 0.01
+    code = main(["plan", "--alpha", "0.01", "--h", h, "--n", "60"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    diag = tmp_path / "d.txt"
+    diag.write_text("1.0\n2.0\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n1.0\n")
+    code = main([
+        "apply", "--alpha", "0.01", "--h", h, "--n", "60", "--mode", "truncated",
+        "--diag-file", str(diag), "--vector-file", str(rhs), "--out", str(tmp_path / "y.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bad_alpha_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--alpha", "1.5", "--h", "1.0", "--n", "5"])

@@ -38,6 +38,19 @@ def test_params_rejects_bad_h(h):
         Params(0.5, h)
 
 
+@pytest.mark.parametrize("alpha, h", [(0.01, 1e8), (0.01, 1e-8), (0.002, 10.0)])
+def test_params_rejects_h_root_out_of_double_range(alpha, h):
+    # log(h)/alpha beyond log(DBL_MAX): h**(1/alpha) overflows or underflows
+    with pytest.raises(ValueError):
+        Params(alpha, h)
+
+
+@pytest.mark.parametrize("h", [1e3, 1e-3])
+def test_params_accepts_h_root_inside_double_range(h):
+    p = Params(0.01, h)
+    assert math.isfinite(p.h_root) and p.h_root > 0.0
+
+
 def test_f1_at_origin_for_unit_parameters():
     # x=0, lam=1, h=1: (1 + 1)^-1 * (2 + 2 cos(pi alpha))^-1.
     p = Params(0.5, 1.0)
@@ -109,9 +122,10 @@ def test_f2_decreasing_in_lambda():
 
 
 def test_extreme_arguments_stay_clean():
-    # lam * h^(1/alpha) overflows the double range here; the factor must
-    # degrade to its zero limit instead of producing nan.
-    p = Params(0.002, 10.0)
+    # h^(1/alpha) = 1e300 is a double, but lam * h^(1/alpha) overflows the
+    # double range; the factor must degrade to its zero limit instead of
+    # producing nan.
+    p = Params(0.01, 1e3)
     val = f1(0.0, 1e16, p)
     assert val == 0.0
     assert f2(800.0, 1.0, Params(0.5, 1.0)) >= 0.0

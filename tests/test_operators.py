@@ -1,6 +1,7 @@
 """Tests for shifted-system assembly and the operator-level resolvent."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from fraclag.operators import (
     mode_counts,
     node_system,
     scalar_approx,
+    scheme,
 )
-from fraclag.planner import make_plan
+from fraclag.planner import balanced_estimate, make_plan
 
 
 def test_node_system_first_integral_origin():
@@ -71,6 +73,16 @@ def test_mode_counts():
     (n1, n2), (c1, c2) = mode_counts(25, p, "truncated")
     assert (n1, n2) == (25, plan.m)
     assert (c1, c2) == (plan.k_n, plan.k_m)
+    advertised = {
+        "standard": standard_estimate(25, p),
+        "balanced": balanced_estimate(25, p),
+        "truncated": plan.predicted_error,
+    }
+    for mode in MODES:
+        s = scheme(25, p, mode)
+        assert (s.sizes, s.kept) == mode_counts(25, p, mode)
+        assert s.solves == sum(s.kept)
+        assert s.predicted_error == advertised[mode]
 
 
 def test_mode_counts_rejects_unknown_mode():
@@ -127,6 +139,9 @@ def test_scalar_and_diagonal_agree_bitwise(mode):
     lam = 37.5
     vec = apply_resolvent(DiagonalOperator(np.array([lam])), np.ones(1), p, 24, mode)
     assert scalar_approx(lam, p, 24, mode) == vec[0]
+    # a NumPy integer rule size is accepted by every mode
+    again = apply_resolvent(DiagonalOperator(np.array([lam])), np.ones(1), p, np.int64(24), mode)
+    assert again[0] == vec[0]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -228,6 +243,24 @@ def test_worker_pool_does_not_change_bits(monkeypatch):
     monkeypatch.setenv("FRACLAG_THREADS", "4")
     par = apply_resolvent(DiagonalOperator(d), b, p, 35, "truncated")
     assert np.array_equal(seq, par)
+
+
+def test_serial_apply_holds_one_solution_at_a_time(monkeypatch):
+    # 100 solves at n=50; a reduction that kept every solution would peak
+    # near 100 vectors.
+    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
+    size = 10**5
+    op = DiagonalOperator(np.linspace(1.0, 1e6, size))
+    b = np.ones(size)
+    p = Params(0.5, 0.01)
+    apply_resolvent(op, b, p, 50)  # builds and caches the rule outside the trace
+    tracemalloc.start()
+    try:
+        apply_resolvent(op, b, p, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * b.nbytes
 
 
 def test_worker_pool_ignores_invalid_setting(monkeypatch):

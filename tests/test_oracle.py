@@ -125,6 +125,10 @@ def test_error_sweep_modes_reduce_second_rule():
     assert tr.err_total <= make_plan(30, p).predicted_error
 
 
+def test_error_sweep_empty_grid():
+    assert error_sweep(Params(0.5, 1.0), 10, []) == []
+
+
 def test_error_sweep_rejects_bad_grid():
     p = Params(0.5, 1.0)
     with pytest.raises(ValueError):
