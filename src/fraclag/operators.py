@@ -1,10 +1,13 @@
 """Applying the rational approximation to an operator.
 
 Each quadrature node becomes one shifted linear solve (sigma*I + tau*L)y = b;
-the resolvent approximation is a weighted sum of those solutions.  Three
-variants share the accumulation path: ``standard`` runs both node sets at the
-same size, ``balanced`` shrinks the second set, ``truncated`` additionally
-drops tail nodes per the plan.
+the resolvent approximation is a weighted sum of those solutions, which every
+backend computes through ``OperatorHandle.apply_sum``.  The default sums
+``solve_shifted`` results in node order; ``DiagonalOperator`` fuses the whole
+sum into one pass over cache-sized blocks of its entries.  Three variants
+share the accumulation path: ``standard`` runs both node sets at the same
+size, ``balanced`` shrinks the second set, ``truncated`` additionally drops
+tail nodes per the plan.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import math
 import os
 from abc import ABC, abstractmethod
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +48,12 @@ __all__ = [
 MODES = ("standard", "balanced", "truncated")
 
 _THREAD_ENV = "FRACLAG_THREADS"
+
+# Entries per block of DiagonalOperator.apply_sum: the block's entries,
+# right-hand side, scratch and accumulator (4 x 128 KiB) stay in L2.  At
+# 10**6 entries on a 2-vCPU Xeon (2 MiB L2 per core), 2**14 and 2**15 timed
+# the same and 2**12 and 2**17 were a third to a half slower.
+_BLOCK = 1 << 14
 
 
 class OperatorError(RuntimeError):
@@ -98,6 +109,31 @@ class OperatorHandle(ABC):
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         """Solve (sigma*I + tau*L)y = b.  Must be safe to call concurrently."""
 
+    def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
+        """Return sum_j scale_j * (sigma_j*I + tau_j*L)^{-1} b for a 1-D ``b``
+        of length ``dimension``, added in node order.
+
+        This default calls ``solve_shifted`` once per system, on a pool of
+        FRACLAG_THREADS threads when that is above 1, and adds each solution
+        as it arrives, so results are bit-reproducible whatever the setting.
+        At most one solve per thread is in flight, so memory does not grow
+        with the number of systems.
+        """
+        def solve(s: ShiftedSystem) -> np.ndarray:
+            return self.solve_shifted(s.sigma, s.tau, b)
+
+        def weighted_sum(solutions: Iterator[np.ndarray]) -> np.ndarray:
+            acc = np.zeros_like(b)
+            for system in systems:
+                acc += system.scale * next(solutions)
+            return acc
+
+        workers = _worker_count()
+        if workers > 1 and len(systems) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return weighted_sum(_in_order(pool, solve, systems, workers))
+        return weighted_sum(map(solve, systems))
+
 
 class DiagonalOperator(OperatorHandle):
     """Operator given by its spectrum; shifted solves are elementwise.
@@ -114,7 +150,7 @@ class DiagonalOperator(OperatorHandle):
             raise ValueError("diagonal entries must be >= 1")
         d.setflags(write=False)
         self._d = d
-        self._infinite = np.isinf(d)
+        self._infinite = np.flatnonzero(np.isinf(d))
 
     @property
     def dimension(self) -> int:
@@ -129,9 +165,35 @@ class DiagonalOperator(OperatorHandle):
         # +inf entries, so those are pinned to the 0 limit explicitly.
         with np.errstate(over="ignore", invalid="ignore"):
             out = b / (sigma + tau * self._d)
-        if self._infinite.any():
+        if self._infinite.size:
             out[self._infinite] = 0.0
         return out
+
+    def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
+        """The weighted sum of ``solve_shifted`` results, bit for bit, computed
+        block by block with one scratch array and no allocation per system.
+        Runs serially: FRACLAG_THREADS does not apply."""
+        if b.shape != self._d.shape:
+            raise ValueError(f"b must have shape {self._d.shape}, got {b.shape}")
+        acc = np.zeros_like(b)
+        scratch = np.empty(min(_BLOCK, b.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, b.size, _BLOCK):
+                hi = min(lo + _BLOCK, b.size)
+                d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
+                first, last = np.searchsorted(self._infinite, (lo, hi))
+                infinite = self._infinite[first:last] - lo
+                # The same operations, in the same order, as solve_shifted
+                # followed by acc += scale * y.
+                for s in systems:
+                    np.multiply(s.tau, d, out=y)
+                    np.add(s.sigma, y, out=y)
+                    np.divide(rhs, y, out=y)
+                    if infinite.size:
+                        y[infinite] = 0.0
+                    np.multiply(s.scale, y, out=y)
+                    np.add(out, y, out=out)
+        return acc
 
 
 class DenseOperator(OperatorHandle):
@@ -239,6 +301,22 @@ def _systems_for(n: int, p: Params, mode: str) -> list[ShiftedSystem]:
     return systems
 
 
+def _in_order(pool: ThreadPoolExecutor, solve, systems, window: int) -> Iterator[np.ndarray]:
+    """Solutions of ``systems`` in order, with at most ``window`` solves
+    submitted and not yet consumed; the next is submitted only when the
+    consumer asks for another solution."""
+    todo = iter(systems)
+    pending = deque(pool.submit(solve, s) for s in islice(todo, window))
+    try:
+        while pending:
+            yield pending.popleft().result()
+            for s in islice(todo, 1):
+                pending.append(pool.submit(solve, s))
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _worker_count() -> int:
     raw = os.environ.get(_THREAD_ENV)
     if raw is None:
@@ -253,12 +331,8 @@ def _worker_count() -> int:
 def apply_resolvent(
     op: OperatorHandle, b, p: Params, n: int, mode: str = "standard"
 ) -> np.ndarray:
-    """Approximate (I + h*L^alpha)^{-1} b with the n-point method.
-
-    The solves are independent and may run on a thread pool (capped by the
-    FRACLAG_THREADS environment variable), but the solutions are reduced in
-    fixed node order as they arrive, so results are bit-reproducible.
-    """
+    """Approximate (I + h*L^alpha)^{-1} b with the n-point method, as
+    ``prefactor * op.apply_sum(systems, b)`` over the mode's node systems."""
     vec = np.asarray(b, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {vec.shape}")
@@ -267,23 +341,7 @@ def apply_resolvent(
             f"dimension mismatch: operator is {op.dimension}, vector is {vec.size}"
         )
     systems = _systems_for(n, p, mode)
-
-    def solve(s: ShiftedSystem) -> np.ndarray:
-        return op.solve_shifted(s.sigma, s.tau, vec)
-
-    def weighted_sum(solutions: Iterator[np.ndarray]) -> np.ndarray:
-        # Each solution is added as it arrives and then dropped, so the
-        # serial path holds one at a time.
-        acc = np.zeros_like(vec)
-        for system in systems:
-            acc += system.scale * next(solutions)
-        return p.prefactor * acc
-
-    workers = _worker_count()
-    if workers > 1 and len(systems) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return weighted_sum(pool.map(solve, systems))
-    return weighted_sum(map(solve, systems))
+    return p.prefactor * op.apply_sum(systems, vec)
 
 
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:

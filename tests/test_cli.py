@@ -7,6 +7,7 @@ import pytest
 
 from fraclag.cli import main
 from fraclag.integrands import Params
+from fraclag.operators import MODES, scheme
 from fraclag.planner import make_plan
 
 
@@ -209,6 +210,9 @@ def test_operator_error_all_modes(tmp_path):
         assert int(r[1]) == plan.inversions
         for cell in r[2:]:
             assert float(cell) > 0.0
+        # each est_ cell is the error the mode advertises, as in `apply`
+        for mode, cell in zip(MODES, r[3::2]):
+            assert float(cell) == scheme(int(r[0]), p, mode).predicted_error
 
 
 def test_operator_error_single_mode_leaves_other_cells_empty(tmp_path):

@@ -10,11 +10,13 @@ from fraclag.estimates import q_estimates, standard_estimate
 from fraclag.integrands import Params, exact_scalar_resolvent
 from fraclag.laguerre import gauss_laguerre
 from fraclag.operators import (
+    _BLOCK,
     MODES,
     CallbackOperator,
     DenseOperator,
     DiagonalOperator,
     OperatorError,
+    _systems_for,
     apply_resolvent,
     mode_counts,
     node_system,
@@ -238,11 +240,13 @@ def test_worker_pool_does_not_change_bits(monkeypatch):
     rng = np.random.default_rng(3)
     d = 10.0 ** rng.uniform(0, 10, size=20)
     b = rng.standard_normal(20)
-    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
-    seq = apply_resolvent(DiagonalOperator(d), b, p, 35, "truncated")
-    monkeypatch.setenv("FRACLAG_THREADS", "4")
-    par = apply_resolvent(DiagonalOperator(d), b, p, 35, "truncated")
-    assert np.array_equal(seq, par)
+    # the diagonal sums serially; the callback goes through the pool
+    for op in (DiagonalOperator(d), CallbackOperator(20, DiagonalOperator(d).solve_shifted)):
+        monkeypatch.delenv("FRACLAG_THREADS", raising=False)
+        seq = apply_resolvent(op, b, p, 35, "truncated")
+        monkeypatch.setenv("FRACLAG_THREADS", "4")
+        par = apply_resolvent(op, b, p, 35, "truncated")
+        assert np.array_equal(seq, par)
 
 
 def test_serial_apply_holds_one_solution_at_a_time(monkeypatch):
@@ -261,6 +265,65 @@ def test_serial_apply_holds_one_solution_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6 * b.nbytes
+
+
+def _peak_bytes(call):
+    call()  # builds and caches the rules outside the trace
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_default_apply_sum_keeps_few_solutions_in_flight(monkeypatch, threads):
+    # 100 solves at n=50 through solve_shifted; a pool that submitted them
+    # all up front would hold finished solutions until the reduction got
+    # to them.
+    monkeypatch.setenv("FRACLAG_THREADS", threads)
+    size = 10**5
+    op = CallbackOperator(size, DiagonalOperator(np.linspace(1.0, 1e6, size)).solve_shifted)
+    b = np.ones(size)
+    peak = _peak_bytes(lambda: apply_resolvent(op, b, Params(0.5, 0.01), 50))
+    assert peak < 6 * b.nbytes
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
+    # the fused sum allocates the accumulator and one block of scratch; the
+    # prefactor product may take one more vector
+    monkeypatch.setenv("FRACLAG_THREADS", threads)
+    size = 10**5
+    op = DiagonalOperator(np.linspace(1.0, 1e6, size))
+    b = np.ones(size)
+    peak = _peak_bytes(lambda: apply_resolvent(op, b, Params(0.5, 0.01), 50))
+    assert peak < 3 * b.nbytes
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("mode", MODES)
+def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
+    rng = np.random.default_rng(size)
+    d = 10.0 ** rng.uniform(0, 16, size)
+    d[[0, -1]] = np.inf  # +inf entries in the first and the last block
+    b = rng.standard_normal(size)
+    b[size // 2] = -0.0
+    p = Params(0.4, 0.01)
+    tail = node_system(500.0, 0.25, "first", p)
+    assert tail.tau == 0.0  # 0 * inf: the +inf entries need pinning
+    systems = _systems_for(30, p, mode) + [tail]
+    diag = DiagonalOperator(d)
+    got = diag.apply_sum(systems, b)
+    want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[0] == 0.0 and got[-1] == 0.0
+
+
+def test_diagonal_apply_sum_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        DiagonalOperator(np.ones(3)).apply_sum(_systems_for(5, Params(0.5, 1.0), "standard"), np.ones(4))
 
 
 def test_worker_pool_ignores_invalid_setting(monkeypatch):
