@@ -82,7 +82,7 @@ class GSequences(NamedTuple):
 
 def _check_lam(lam: float) -> float:
     lam = float(lam)
-    if not (lam >= 1.0) or math.isinf(lam) or math.isnan(lam):
+    if not (lam >= 1.0) or math.isinf(lam):
         raise ValueError(f"lam must be a finite value >= 1, got {lam!r}")
     return lam
 

@@ -78,9 +78,10 @@ class Params:
 def _validated(x, lam):
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(x < 0) or np.any(np.isnan(x)) or np.any(np.isinf(x)):
+    # every comparison with NaN is false, so one comparison per check refuses it
+    if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("x must be finite and nonnegative")
-    if np.any(lam < 1) or np.any(np.isnan(lam)):
+    if not np.all(lam >= 1):
         raise ValueError("lam must be >= 1")
     return x, lam
 
@@ -139,7 +140,7 @@ def exact_scalar_resolvent(lam, p: Params):
     ``lam = +inf`` is accepted and maps to 0.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 1) or np.any(np.isnan(lam)):
+    if not np.all(lam >= 1):
         raise ValueError("lam must be >= 1")
     with np.errstate(over="ignore"):
         lam_pow = np.exp(p.alpha * np.log(lam))

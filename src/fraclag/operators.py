@@ -4,10 +4,10 @@ Each quadrature node becomes one shifted linear solve (sigma*I + tau*L)y = b;
 the resolvent approximation is a weighted sum of those solutions, which every
 backend computes through ``OperatorHandle.apply_sum``.  The default sums
 ``solve_shifted`` results in node order; ``DiagonalOperator`` fuses the whole
-sum into one pass over cache-sized blocks of its entries.  Three variants
-share the accumulation path: ``standard`` runs both node sets at the same
-size, ``balanced`` shrinks the second set, ``truncated`` additionally drops
-tail nodes per the plan.
+sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
+runs that kernel in its eigenbasis.  Three variants share the accumulation
+path: ``standard`` runs both node sets at the same size, ``balanced`` shrinks
+the second set, ``truncated`` additionally drops tail nodes per the plan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .estimates import standard_estimate
 from .integrands import Params
@@ -57,7 +56,7 @@ _BLOCK = 1 << 14
 
 
 class OperatorError(RuntimeError):
-    """A shifted solve could not be completed."""
+    """An operator was refused or a shifted solve could not be completed."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def node_system(x: float, w: float, which: str, p: Params) -> ShiftedSystem:
 
 class OperatorHandle(ABC):
     """Self-adjoint positive operator with spectrum in [1, inf), exposed
-    only through shifted solves."""
+    through shifted solves and their weighted sum ``apply_sum``."""
 
     @property
     @abstractmethod
@@ -146,7 +145,7 @@ class DiagonalOperator(OperatorHandle):
         d = np.atleast_1d(np.asarray(entries, dtype=float))
         if d.ndim != 1 or d.size == 0:
             raise ValueError("diagonal entries must form a nonempty 1-D sequence")
-        if np.isnan(d).any() or (d < 1.0).any():
+        if not (d >= 1.0).all():
             raise ValueError("diagonal entries must be >= 1")
         d.setflags(write=False)
         self._d = d
@@ -197,10 +196,11 @@ class DiagonalOperator(OperatorHandle):
 
 
 class DenseOperator(OperatorHandle):
-    """Dense symmetric positive definite matrix.
+    """Dense symmetric matrix with spectrum in [1, inf).
 
-    Every shifted solve factorizes sigma*I + tau*A from scratch; the shifts
-    differ per node, so nothing can be reused.
+    Every shifted matrix sigma*I + tau*A shares A's eigenvectors Q, so one
+    ``eigh`` at construction turns each solve into the diagonal kernel
+    between a product with Q^T and one with Q.
     """
 
     def __init__(self, matrix):
@@ -212,22 +212,22 @@ class DenseOperator(OperatorHandle):
         scale = np.abs(a).max()
         if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
             raise OperatorError("matrix is not symmetric")
-        self._a = a
+        ev, self._q = np.linalg.eigh(a)
+        # eigh is backward stable, so a spectrum starting at 1 may read up to
+        # about N*eps*max|ev| below it; clamping that is below eigh's own error
+        if ev[0] < 1.0 - ev.size * np.finfo(float).eps * np.abs(ev).max():
+            raise OperatorError(f"matrix spectrum must be >= 1, smallest eigenvalue is {float(ev[0])!r}")
+        self._diag = DiagonalOperator(np.maximum(ev, 1.0))
 
     @property
     def dimension(self) -> int:
-        return self._a.shape[0]
+        return self._diag.dimension
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        shifted = tau * self._a + sigma * np.eye(self.dimension)
-        try:
-            factor = cho_factor(shifted, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise OperatorError(
-                f"factorization failed at shift sigma={sigma!r}, tau={tau!r}: "
-                "matrix is not positive definite"
-            ) from exc
-        return cho_solve(factor, b, check_finite=False)
+        return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
+
+    def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
+        return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
 
 
 class CallbackOperator(OperatorHandle):

@@ -63,7 +63,7 @@ def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
     vec = np.asarray(b, dtype=float)
     if vec.shape != d.shape:
         raise ValueError(f"shape mismatch: entries {d.shape}, vector {vec.shape}")
-    if np.isnan(d).any() or (d < 1.0).any():
+    if not (d >= 1.0).all():
         raise ValueError("diagonal entries must be >= 1")
     # h > 0, so an inf entry gives an inf denominator and a clean 0 quotient
     with np.errstate(over="ignore"):

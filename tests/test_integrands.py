@@ -140,6 +140,12 @@ def test_integrand_domain_errors(func):
         func(1.0, 0.5, p)
     with pytest.raises(ValueError):
         func(float("nan"), 1.0, p)
+    with pytest.raises(ValueError):
+        func(float("inf"), 1.0, p)
+    with pytest.raises(ValueError):
+        func(float("-inf"), 1.0, p)
+    with pytest.raises(ValueError):
+        func(1.0, float("nan"), p)
 
 
 def test_exact_scalar_resolvent_simple():

@@ -196,13 +196,68 @@ def test_dense_operator_rejects_bad_matrices():
         DenseOperator(np.array([[float("inf"), 0.0], [0.0, 2.0]]))
 
 
-def test_dense_operator_reports_indefinite_solve():
-    # Symmetric but negative definite: the shifted matrix loses positive
-    # definiteness for some node and the factorization must say so.
-    mat = -5.0 * np.eye(2)
+def _rotated(eigs, seed):
+    """Q diag(eigs) Q^T for a random orthogonal Q, symmetrized exactly."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((eigs.size, eigs.size)))
+    mat = (basis * eigs) @ basis.T
+    return basis, 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize(
+    "mat", [-5.0 * np.eye(2), _rotated(np.array([0.5, 2.0]), 7)[1]], ids=["negative", "rotated"]
+)
+def test_dense_operator_refuses_spectrum_below_one(mat):
+    with pytest.raises(OperatorError) as excinfo:
+        DenseOperator(mat)
+    assert repr(float(np.linalg.eigh(mat)[0][0])) in str(excinfo.value)
+
+
+def test_dense_operator_accepts_rounding_below_one():
+    # eigh is backward stable: a spectrum starting exactly at 1 may read
+    # slightly below it and must still be accepted
+    _, mat = _rotated(np.logspace(0, 4, 8), 1)
+    assert np.linalg.eigh(mat)[0][0] < 1.0
+    got = apply_resolvent(DenseOperator(mat), np.ones(8), Params(0.5, 0.01), 20)
+    assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dense_operator_is_diagonal_in_eigenbasis(mode):
+    # rounding in the matrix itself moves its eigenpairs by about eps*|A|,
+    # so the spectrum spans [1, 1e4] as in the benchmark (at 1e9 the
+    # former Cholesky path also differed by 1.6e-10 from this reference)
+    d = np.array([1.0, 2.5, 10.0, 1e2, 1e3, 1e4])
+    basis, mat = _rotated(d, 42)
+    b = np.random.default_rng(0).standard_normal(d.size)
+    p = Params(0.6, 0.01)
+    got = apply_resolvent(DenseOperator(mat), b, p, 40, mode)
+    want = basis @ apply_resolvent(DiagonalOperator(d), basis.T @ b, p, 40, mode)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dense_apply_sum_matches_default(mode):
+    _, mat = _rotated(np.logspace(0, 6, 30), 5)
+    dense = DenseOperator(mat)
+    b = np.random.default_rng(1).standard_normal(30)
+    systems = _systems_for(30, Params(0.4, 0.1), mode)
+    got = dense.apply_sum(systems, b)
+    want = CallbackOperator(30, dense.solve_shifted).apply_sum(systems, b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dense_apply_is_deterministic(monkeypatch):
+    _, mat = _rotated(np.logspace(0, 4, 50), 2)
     op = DenseOperator(mat)
-    with pytest.raises(OperatorError):
-        apply_resolvent(op, np.ones(2), Params(0.5, 1.0), 10)
+    b = np.random.default_rng(2).standard_normal(50)
+    p = Params(0.5, 0.01)
+    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
+    first = apply_resolvent(op, b, p, 40).tobytes()
+    again = apply_resolvent(op, b, p, 40).tobytes()
+    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    pooled = apply_resolvent(op, b, p, 40).tobytes()
+    assert first == again == pooled
 
 
 def test_callback_operator_parity():

@@ -34,6 +34,8 @@ def test_exact_diagonal_apply_validation():
         exact_diagonal_apply([1.0, 2.0], np.ones(3), p)
     with pytest.raises(ValueError):
         exact_diagonal_apply([0.5], np.ones(1), p)
+    with pytest.raises(ValueError):
+        exact_diagonal_apply([2.0, float("nan")], np.ones(2), p)
 
 
 @pytest.mark.parametrize(
