@@ -87,6 +87,25 @@ def _check_lam(lam: float) -> float:
     return lam
 
 
+def _exp(x: float) -> float:
+    # math.exp, saturating to inf past double range instead of raising
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _quotient(num: float, den: float, lam: float) -> float:
+    # every denominator of q_I .. q_IV grows with s or h*lam**alpha; once one
+    # overflows (to inf, or to NaN through inf - inf) the estimate is at its
+    # 0-limit
+    if not den < math.inf:
+        return 0.0
+    if den > 0.0 and math.isfinite(num):
+        return num / den
+    raise ValueError(f"error estimate at lam={lam!r} is out of double range")
+
+
 def _log_shifted(lam: float, p: Params) -> float:
     # log(h**(1/alpha) * lam), the recurring spectral coordinate
     return p.log_h_root + math.log(lam)
@@ -115,16 +134,17 @@ def gamma_pm(lam: float, p: Params) -> tuple[float, float]:
 
 
 def lambda_bar(p: Params) -> float:
-    """First-integrand regime threshold: estimate I applies above it."""
+    """First-integrand regime threshold: estimate I applies above it;
+    ``inf`` past double range."""
     a = p.alpha
-    return math.exp((2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root)
+    return _exp((2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root)
 
 
 def lambda_bbar(p: Params) -> float:
     """Second-integrand regime threshold, clamped below at 1: estimate III
-    applies under it."""
+    applies under it; ``inf`` past double range."""
     a = p.alpha
-    raw = math.exp(-(2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root)
+    raw = _exp(-(2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root)
     return max(1.0, raw)
 
 
@@ -133,7 +153,8 @@ def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
     ``lam``, with the active regime chosen against the thresholds.
 
     All four are reported; the regime labels say which one is expected to
-    track the measured error of each integrand.
+    track the measured error of each integrand.  Where ``s`` or
+    ``h * lam**alpha`` is past double range an estimate takes its 0-limit.
     """
     lam = _check_lam(lam)
     if n < 1:
@@ -141,21 +162,21 @@ def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
     a = p.alpha
     nbar = 4.0 * n + 2.0
     gp, gm = gamma_pm(lam, p)
-    s = math.exp(_log_shifted(lam, p))  # h**(1/alpha) * lam
-    hl = math.exp(math.log(p.h) + a * math.log(lam))  # h * lam**alpha
+    s = _exp(_log_shifted(lam, p))  # h**(1/alpha) * lam
+    hl = _exp(math.log(p.h) + a * math.log(lam))  # h * lam**alpha
     rot = cmath.exp(1j * a * math.pi)  # principal branch of (-1)**alpha
 
     den_i = abs(cmath.exp(-2j * a * math.pi) + 2.0 * hl * p.cos_pi_alpha * cmath.exp(-1j * a * math.pi) + hl * hl)
-    q_i = 4.0 * math.pi * a * hl * math.exp(-math.sqrt(2.0 * a * nbar) * gm) / den_i
+    q_i = _quotient(4.0 * math.pi * a * hl * math.exp(-math.sqrt(2.0 * a * nbar) * gm), den_i, lam)
 
     den_ii = p.sin_pi_alpha * abs(1.0 - cmath.exp(-1j * math.pi / a) * s)
-    q_ii = 2.0 * math.pi * math.exp(-math.sqrt(2.0 * (1.0 - a) * math.pi * nbar)) / den_ii
+    q_ii = _quotient(2.0 * math.pi * math.exp(-math.sqrt(2.0 * (1.0 - a) * math.pi * nbar)), den_ii, lam)
 
     den_iii = abs(1.0 + 2.0 * p.cos_pi_alpha * rot * hl + rot * rot * hl * hl)
-    q_iii = 4.0 * math.pi * a * hl * math.exp(-math.sqrt(2.0 * (a + 1.0) * nbar) * gp) / den_iii
+    q_iii = _quotient(4.0 * math.pi * a * hl * math.exp(-math.sqrt(2.0 * (a + 1.0) * nbar) * gp), den_iii, lam)
 
     den_iv = p.sin_pi_alpha * abs(cmath.exp(1j * (1.0 - a) * math.pi / a) + s)
-    q_iv = 2.0 * math.pi * math.exp(-math.sqrt(2.0 * nbar * (1.0 - a) * (a + 1.0) * math.pi / a)) / den_iv
+    q_iv = _quotient(2.0 * math.pi * math.exp(-math.sqrt(2.0 * nbar * (1.0 - a) * (a + 1.0) * math.pi / a)), den_iv, lam)
 
     return EstimateBreakdown(
         q_I=q_i,

@@ -75,15 +75,20 @@ class Params:
         return self.sin_pi_alpha / (self.alpha * math.pi)
 
 
-def _validated(x, lam):
-    x = np.asarray(x, dtype=float)
+def _spectral(lam) -> np.ndarray:
+    """``lam`` as a float array, refused unless every entry is ``>= 1``."""
     lam = np.asarray(lam, dtype=float)
     # every comparison with NaN is false, so one comparison per check refuses it
-    if not np.all((x >= 0) & (x < np.inf)):
-        raise ValueError("x must be finite and nonnegative")
     if not np.all(lam >= 1):
         raise ValueError("lam must be >= 1")
-    return x, lam
+    return lam
+
+
+def _validated(x, lam):
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError("x must be finite and nonnegative")
+    return x, _spectral(lam)
 
 
 def f1(x, lam, p: Params):
@@ -99,10 +104,7 @@ def f1(x, lam, p: Params):
     """
     x, lam = _validated(x, lam)
     with np.errstate(over="ignore", divide="ignore"):
-        t = np.exp(-x / p.alpha + p.log_h_root + np.log(lam))
-        e = np.exp(-x)
-        den = (1.0 + t) * (e * e + 2.0 * p.cos_pi_alpha * e + 1.0)
-        out = 1.0 / den
+        out = _f1(x, lam, p)
     return out if out.ndim else float(out)
 
 
@@ -114,14 +116,31 @@ def f2(x, lam, p: Params):
                  + exp(-2*alpha*x/(alpha+1))))``
     """
     x, lam = _validated(x, lam)
-    ap1 = p.alpha + 1.0
     with np.errstate(over="ignore", divide="ignore"):
-        s = np.exp(p.log_h_root + np.log(lam))
-        u = np.exp(-x / ap1)
-        v = np.exp(-p.alpha * x / ap1)
-        den = (u + s) * (1.0 + 2.0 * p.cos_pi_alpha * v + v * v)
-        out = (p.alpha / ap1) / den
+        out = _f2(x, lam, p)
     return out if out.ndim else float(out)
+
+
+# The kernels below are the formulas of f1 and f2 and nothing else.  They take
+# float arrays or np.float64 scalars, trust that x is finite and nonnegative
+# and lam >= 1, and leave the overflow and divide-by-zero warnings of the
+# 0-limits to the caller's np.errstate.
+
+
+def _f1(x, lam, p: Params):
+    t = np.exp(-x / p.alpha + p.log_h_root + np.log(lam))
+    e = np.exp(-x)
+    den = (1.0 + t) * (e * e + 2.0 * p.cos_pi_alpha * e + 1.0)
+    return 1.0 / den
+
+
+def _f2(x, lam, p: Params):
+    ap1 = p.alpha + 1.0
+    s = np.exp(p.log_h_root + np.log(lam))
+    u = np.exp(-x / ap1)
+    v = np.exp(-p.alpha * x / ap1)
+    den = (u + s) * (1.0 + 2.0 * p.cos_pi_alpha * v + v * v)
+    return (p.alpha / ap1) / den
 
 
 def bounds(p: Params) -> tuple[float, float]:
@@ -139,9 +158,7 @@ def exact_scalar_resolvent(lam, p: Params):
 
     ``lam = +inf`` is accepted and maps to 0.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(lam >= 1):
-        raise ValueError("lam must be >= 1")
+    lam = _spectral(lam)
     with np.errstate(over="ignore"):
         lam_pow = np.exp(p.alpha * np.log(lam))
         out = 1.0 / (1.0 + p.h * lam_pow)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, bounds, exact_scalar_resolvent, f1, f2
+from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent, f1, f2
 from .laguerre import gauss_laguerre
 from .operators import DiagonalOperator, apply_resolvent, scheme
 
@@ -81,15 +81,21 @@ def _knee(lam: float, p: Params, which: int) -> float:
 def _reference_integral(
     which: int, lam: float, p: Params, upper: float, epsabs: float, epsrel: float
 ) -> tuple[float, float]:
-    """Adaptive quadrature of exp(-x) * f_which over [0, upper]."""
-    f = f1 if which == 1 else f2
+    """Adaptive quadrature of exp(-x) * f_which over [0, upper].
+
+    quad evaluates only finite x in [0, upper] and ``lam`` is fixed, so the
+    integrand calls the unchecked kernel of f_which; the values are those of
+    f_which bit for bit.
+    """
+    kernel = _f1 if which == 1 else _f2
+    lam = _spectral(lam)[()]
 
     def integrand(x: float) -> float:
-        return math.exp(-x) * f(x, lam, p)
+        return math.exp(-x) * kernel(np.float64(x), lam, p)
 
     knee = _knee(lam, p, which)
     points = [knee] if 0.0 < knee < upper else None
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
         value, achieved = quad(
             integrand, 0.0, upper, epsabs=epsabs, epsrel=epsrel, limit=500, points=points

@@ -86,6 +86,20 @@ def test_scalar_sweep_single_point(tmp_path):
     assert rows[0][9] in ("III", "IV")
 
 
+def test_scalar_sweep_at_small_alpha_completes(tmp_path, capsys):
+    # the second-integrand threshold and h**(1/alpha) * lam are past double
+    # range here; the estimates saturate instead of raising OverflowError
+    out = tmp_path / "x.csv"
+    code = main(["scalar-sweep", "--alpha", "0.01", "--h", "1e-3", "--n", "40", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out)
+    assert len(rows) == 200
+    for row in rows:
+        assert all(float(cell) >= 0.0 for cell in row[1:8])  # no NaN
+        assert row[9] == "III"  # lambda_bbar = inf
+
+
 def test_scalar_sweep_rejects_inverted_range(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

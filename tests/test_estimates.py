@@ -19,6 +19,7 @@ from fraclag.estimates import (
     q_estimates,
     standard_estimate,
 )
+from fraclag.estimates import _quotient
 from fraclag.integrands import Params
 
 # High-precision references (mpmath, 50 digits, rounded to double).
@@ -166,6 +167,58 @@ def test_q_estimates_finite_at_threshold():
     for val in (q.q_I, q.q_II, q.q_III, q.q_IV):
         assert math.isfinite(val)
         assert val > 0
+
+
+# alpha x h grid on which the thresholds and estimates once overflowed; the
+# pairs whose h**(1/alpha) is out of double range are refused by Params
+OVERFLOW_ALPHAS = (0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99)
+OVERFLOW_HS = (1e-300, 1e-15, 1e-3, 1.0, 1e3, 1e15, 1e100, 1e300)
+
+
+def _accepted_params():
+    for alpha in OVERFLOW_ALPHAS:
+        for h in OVERFLOW_HS:
+            try:
+                yield Params(alpha, h)
+            except ValueError:
+                pass
+
+
+def test_thresholds_saturate_past_double_range():
+    assert lambda_bar(Params(0.99, 1e-300)) == math.inf
+    assert lambda_bbar(Params(0.01, 1e-3)) == math.inf
+    assert lambda_bbar(Params(0.05, 1e-15)) == math.inf
+    for p in _accepted_params():
+        for threshold in (lambda_bar(p), lambda_bbar(p)):
+            assert threshold >= 0.0  # never NaN
+
+
+def test_q_estimates_never_nan_past_double_range():
+    lams = 10.0 ** np.linspace(0.0, 300.0, 31)
+    for p in _accepted_params():
+        for lam in lams:
+            q = q_estimates(lam, 30, p)
+            for val in (q.q_I, q.q_II, q.q_III, q.q_IV):
+                assert 0.0 <= val < math.inf, (p, lam, q)
+
+
+def test_q_estimates_take_zero_limit_on_overflowed_denominators():
+    # h**(1/alpha) * lam = 1e311 and h * lam**alpha = 1e308: all four
+    # denominators overflow
+    q = q_estimates(1e8, 30, Params(0.99, 1e300))
+    assert (q.q_I, q.q_II, q.q_III, q.q_IV) == (0.0, 0.0, 0.0, 0.0)
+    # h**(1/alpha) * lam overflows, h * lam**alpha = 1e3 does not
+    q = q_estimates(1e300, 30, Params(0.01, 1000.0))
+    assert q.q_II == q.q_IV == 0.0
+    assert q.q_I > 0.0
+
+
+def test_q_estimate_quotient_refuses_what_is_not_a_zero_limit():
+    assert _quotient(1.0, math.inf, 2.0) == 0.0
+    assert _quotient(math.inf, math.nan, 2.0) == 0.0
+    for num, den in ((math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="out of double range"):
+            _quotient(num, den, 2.0)
 
 
 def test_q_estimates_decrease_with_n():

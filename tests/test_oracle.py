@@ -1,11 +1,14 @@
 """Tests for the adaptive reference checks and the error sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
-from fraclag.integrands import Params, bounds
+from fraclag import oracle
+from fraclag.integrands import Params, bounds, f1, f2
 from fraclag.oracle import (
     OracleError,
     SweepRecord,
@@ -47,6 +50,42 @@ def test_representation_matches_closed_form(lam, alpha, h):
     check = representation_check(lam, Params(alpha, h), tol=1e-10)
     assert check.gap <= 1e-10
     assert check.rhs == pytest.approx(1.0 / (1.0 + h * lam**alpha), rel=1e-12)
+
+
+def _quad_of_public_integrand(which, lam, p, upper, epsabs, epsrel):
+    f = f1 if which == 1 else f2
+    knee = oracle._knee(lam, p, which)
+    points = [knee] if 0.0 < knee < upper else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(lambda x: math.exp(-x) * f(x, lam, p), 0.0, upper,
+                    epsabs=epsabs, epsrel=epsrel, limit=500, points=points)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize(
+    "lam,alpha,h",
+    [(1.0, 0.5, 1.0), (3.7, 0.05, 1e-3), (1e8, 0.3, 0.01), (1e16, 0.05, 10.0),
+     (1e16, 0.95, 1e-4), (1e16, 0.5, 1.0)],
+)
+@pytest.mark.parametrize("upper,epsabs,epsrel", [(60.0, 0.0, 1e-13), (50.0, 1e-11, 0.0)])
+def test_reference_integral_matches_public_integrand_bitwise(which, lam, alpha, h, upper, epsabs, epsrel):
+    """The reference runs the unchecked kernels; value and achieved error
+    must equal quad over the checked public integrand, bit for bit."""
+    p = Params(alpha, h)
+    got = oracle._reference_integral(which, lam, p, upper, epsabs, epsrel)
+    want = _quad_of_public_integrand(which, lam, p, upper, epsabs, epsrel)
+    np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("lam", [0.5, float("nan")])
+def test_representation_check_refuses_lam_before_quadrature(lam, monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(oracle, "quad", no_quad)
+    with pytest.raises(ValueError, match="lam must be >= 1"):
+        representation_check(lam, Params(0.5, 1.0), tol=1e-8)
 
 
 def test_representation_check_validates_tol():
