@@ -2,11 +2,12 @@
 # a-priori q estimates, for a couple of parameter sets.  Writes one CSV per
 # configuration next to this script.
 
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
-from fraclag import Params, error_sweep
+from fraclag import SWEEP_HEADER, Params, error_sweep
 from fraclag.io import write_csv
 
 HERE = Path(__file__).parent
@@ -22,14 +23,8 @@ grid = 10.0 ** np.linspace(0.0, 16.0, 100)
 for alpha, h, n in configs:
     p = Params(alpha, h)
     records = error_sweep(p, n, grid)
-    rows = [
-        (r.lam, r.err_total, r.err_int1, r.err_int2,
-         r.q_I, r.q_II, r.q_III, r.q_IV, r.regime1, r.regime2)
-        for r in records
-    ]
     out = HERE / f"sweep_alpha{alpha:g}_h{h:g}_n{n}.csv"
-    write_csv(out, ["lambda", "err_total", "err_int1", "err_int2",
-                    "q_I", "q_II", "q_III", "q_IV", "regime1", "regime2"], rows)
+    write_csv(out, SWEEP_HEADER, map(astuple, records))
     print(f"alpha={alpha:g} h={h:g} n={n} -> {out.name}")
 
     # quick in-band summary: how often the active estimate tracks the

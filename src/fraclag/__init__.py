@@ -7,7 +7,7 @@ estimates drive the sizing of the two rules (balancing) and the removal of
 negligible tail nodes (truncation).
 """
 
-from . import estimates, integrands, laguerre, operators, oracle, planner
+from . import laguerre, integrands, estimates, planner, operators, oracle
 from .estimates import *  # noqa: F403
 from .integrands import *  # noqa: F403
 from .laguerre import *  # noqa: F403

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -25,7 +26,7 @@ from .operators import (
     apply_resolvent,
     scheme,
 )
-from .oracle import OracleError, error_sweep, exact_diagonal_apply
+from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
 from .planner import make_plan, plan_for_tolerance
 
 __all__ = ["main", "build_parser", "benchmark_diagonal"]
@@ -101,14 +102,7 @@ def _cmd_scalar_sweep(args) -> int:
     p = Params(alpha=args.alpha, h=args.h)
     grid = np.logspace(math.log10(args.lambda_min), math.log10(args.lambda_max), args.points)
     records = error_sweep(p, args.n, grid, args.mode)
-    header = ["lambda", "err_total", "err_int1", "err_int2",
-              "q_I", "q_II", "q_III", "q_IV", "regime1", "regime2"]
-    rows = [
-        (r.lam, r.err_total, r.err_int1, r.err_int2,
-         r.q_I, r.q_II, r.q_III, r.q_IV, r.regime1, r.regime2)
-        for r in records
-    ]
-    _emit(args.out, header, rows)
+    _emit(args.out, SWEEP_HEADER, map(dataclasses.astuple, records))
     return 0
 
 
@@ -179,12 +173,11 @@ def _cmd_apply(args) -> int:
     b = io.read_vector(args.vector_file)
     result = apply_resolvent(op, b, p, args.n, args.mode)
     io.write_vector(args.out, result)
-    plan = make_plan(args.n, p)
-    chosen = scheme(args.n, p, args.mode)
+    ran = scheme(args.n, p, args.mode)
+    (n, m), (k_n, k_m) = ran.sizes, ran.kept
     print(
-        f"plan: n={plan.n} m={plan.m} k_n={plan.k_n} k_m={plan.k_m} "
-        f"j_n={plan.j_n} j_m={plan.j_m} solves={chosen.solves} "
-        f"predicted_error={chosen.predicted_error:.6e}",
+        f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={ran.solves} "
+        f"predicted_error={ran.predicted_error:.6e}",
         file=sys.stderr,
     )
     return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .integrands import Params
+from .laguerre import _rule_size
 
 __all__ = [
     "CURVATURE_C",
@@ -155,10 +156,11 @@ def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
     All four are reported; the regime labels say which one is expected to
     track the measured error of each integrand.  Where ``s`` or
     ``h * lam**alpha`` is past double range an estimate takes its 0-limit.
+    These are the paper's estimates: at small alpha (0.01, say) they do not
+    track the measured error (ROADMAP item 1).
     """
     lam = _check_lam(lam)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _rule_size(n)
     a = p.alpha
     nbar = 4.0 * n + 2.0
     gp, gm = gamma_pm(lam, p)
@@ -191,8 +193,7 @@ def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
 def g_sequences(n: int, p: Params) -> GSequences:
     """``lam``-free decay sequences bounding the four estimates over all
     ``lam >= 1``.  All four decrease strictly in ``n``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _rule_size(n)
     a = p.alpha
     nbar = 4.0 * n + 2.0
     pi = math.pi
@@ -230,6 +231,6 @@ def eps2(m: int, p: Params) -> float:
 
 
 def standard_estimate(n: int, p: Params) -> float:
-    """A-priori bound on the resolvent error of the plain ``n``-point method
-    (both integrands at size ``n``), uniform over the spectrum."""
+    """The paper's a-priori estimate of the plain ``n``-point method's error
+    (both integrands at size ``n``); not a bound (ROADMAP item 1)."""
     return p.prefactor * eps1(n, p)

@@ -180,18 +180,17 @@ class DiagonalOperator(OperatorHandle):
             for lo in range(0, b.size, _BLOCK):
                 hi = min(lo + _BLOCK, b.size)
                 d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
-                first, last = np.searchsorted(self._infinite, (lo, hi))
-                infinite = self._infinite[first:last] - lo
                 # The same operations, in the same order, as solve_shifted
                 # followed by acc += scale * y.
                 for s in systems:
                     np.multiply(s.tau, d, out=y)
                     np.add(s.sigma, y, out=y)
                     np.divide(rhs, y, out=y)
-                    if infinite.size:
-                        y[infinite] = 0.0
                     np.multiply(s.scale, y, out=y)
                     np.add(out, y, out=out)
+            # solve_shifted pins +inf entries to +0.0, so each term and the sum
+            # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
+            acc[self._infinite] = 0.0
         return acc
 
 
@@ -252,17 +251,21 @@ class CallbackOperator(OperatorHandle):
             raise OperatorError(
                 f"callback returned shape {y.shape}, expected {b.shape}"
             )
+        if not np.isfinite(y).all():
+            raise OperatorError(f"callback returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
         return y
 
 
 class Scheme(NamedTuple):
     """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
-    ``(k1, k2)`` of each rule that become shifted solves, and the a-priori
-    error estimate the mode advertises."""
+    ``(k1, k2)`` of each rule that become shifted solves, the a-priori
+    error estimate the mode advertises, and the shifted system of every
+    kept node in solve order: the first rule's, then the second's."""
 
     sizes: tuple[int, int]
     kept: tuple[int, int]
     predicted_error: float
+    systems: tuple[ShiftedSystem, ...]
 
     @property
     def solves(self) -> int:
@@ -272,33 +275,30 @@ class Scheme(NamedTuple):
 
 def scheme(n: int, p: Params, mode: str) -> Scheme:
     """The scheme of ``mode`` at first-rule size ``n``; the only place a mode
-    is turned into sizes, solves and an advertised error."""
+    is turned into sizes, node systems and an advertised error."""
     n = _rule_size(n)
     if mode == "standard":
-        return Scheme((n, n), (n, n), standard_estimate(n, p))
-    if mode == "balanced":
+        sizes, kept, error = (n, n), (n, n), standard_estimate(n, p)
+    elif mode == "balanced":
         m = balance_m(n, p)
-        return Scheme((n, m), (n, m), balanced_estimate(n, p))
-    if mode == "truncated":
+        sizes, kept, error = (n, m), (n, m), balanced_estimate(n, p)
+    elif mode == "truncated":
         plan = make_plan(n, p)
-        return Scheme((n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        sizes, kept, error = (n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error
+    else:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    systems: list[ShiftedSystem] = []
+    for size, count, which in zip(sizes, kept, ("first", "second")):
+        rule = gauss_laguerre(size)
+        systems.extend(
+            node_system(x, w, which, p) for x, w in zip(rule.nodes[:count], rule.weights[:count])
+        )
+    return Scheme(sizes, kept, error, tuple(systems))
 
 
 def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Rule sizes and kept-node counts ((n1, n2), (k1, k2)) of a mode."""
     return scheme(n, p, mode)[:2]
-
-
-def _systems_for(n: int, p: Params, mode: str) -> list[ShiftedSystem]:
-    sizes, kept, _ = scheme(n, p, mode)
-    systems: list[ShiftedSystem] = []
-    for size, count, which in zip(sizes, kept, ("first", "second")):
-        rule = gauss_laguerre(size)
-        systems.extend(
-            node_system(rule.nodes[j], rule.weights[j], which, p) for j in range(count)
-        )
-    return systems
 
 
 def _in_order(pool: ThreadPoolExecutor, solve, systems, window: int) -> Iterator[np.ndarray]:
@@ -332,7 +332,7 @@ def apply_resolvent(
     op: OperatorHandle, b, p: Params, n: int, mode: str = "standard"
 ) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with the n-point method, as
-    ``prefactor * op.apply_sum(systems, b)`` over the mode's node systems."""
+    ``prefactor * op.apply_sum(scheme(n, p, mode).systems, b)``."""
     vec = np.asarray(b, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {vec.shape}")
@@ -340,8 +340,9 @@ def apply_resolvent(
         raise ValueError(
             f"dimension mismatch: operator is {op.dimension}, vector is {vec.size}"
         )
-    systems = _systems_for(n, p, mode)
-    return p.prefactor * op.apply_sum(systems, vec)
+    if not np.isfinite(vec).all():
+        raise ValueError("b must be finite")
+    return p.prefactor * op.apply_sum(scheme(n, p, mode).systems, vec)
 
 
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "OracleError",
     "RepresentationCheck",
     "SweepRecord",
+    "SWEEP_HEADER",
     "exact_diagonal_apply",
     "representation_check",
     "error_sweep",
@@ -55,6 +56,11 @@ class SweepRecord:
     q_IV: float
     regime1: str
     regime2: str
+
+
+# CSV column names of a SweepRecord, in field order: a row is astuple(record)
+SWEEP_HEADER = ("lambda", "err_total", "err_int1", "err_int2",
+                "q_I", "q_II", "q_III", "q_IV", "regime1", "regime2")
 
 
 def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
@@ -135,11 +141,8 @@ _SWEEP_PAD2 = 60.0
 
 
 def _sweep_reference(which: int, lam: float, p: Params) -> float:
-    big_l = p.log_h_root + math.log(lam)
-    if which == 1:
-        upper = _SWEEP_PAD1 + p.alpha * max(0.0, big_l)
-    else:
-        upper = _SWEEP_PAD2 + (p.alpha + 1.0) * max(0.0, -big_l)
+    pad = _SWEEP_PAD1 if which == 1 else _SWEEP_PAD2
+    upper = pad + _knee(lam, p, which)
     value, _ = _reference_integral(which, lam, p, upper, epsabs=0.0, epsrel=1e-13)
     return value
 
@@ -155,7 +158,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         return []
-    (n1, n2), (c1, c2), _ = scheme(n, p, mode)
+    (n1, n2), (c1, c2) = scheme(n, p, mode)[:2]
     rule1 = gauss_laguerre(n1)
     rule2 = gauss_laguerre(n2)
     x1, w1 = rule1.nodes[:c1], rule1.weights[:c1]

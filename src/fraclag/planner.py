@@ -79,8 +79,6 @@ def balance_m(n: int, p: Params) -> int:
 def thresholds(n: int, m: int, p: Params) -> tuple[float, float]:
     """Node cutoffs ``(s1, s2)``: contributions beyond them are smaller than
     the quadrature errors already committed.  Clamped below at 0."""
-    _rule_size(n)
-    _rule_size(m)
     k1, k2 = bounds(p)
     s1 = max(0.0, -math.log(eps1(n, p) / k1))
     s2 = max(0.0, -math.log(eps2(m, p) / k2))
@@ -142,14 +140,14 @@ def make_plan(n: int, p: Params) -> Plan:
 
 
 def balanced_estimate(n: int, p: Params) -> float:
-    """A-priori bound for the balanced method: twice the dominant decay."""
-    n = _rule_size(n)
+    """The paper's a-priori estimate for the balanced method, twice the
+    dominant decay; not a bound (ROADMAP item 1)."""
     return 2.0 * p.prefactor * eps1(n, p)
 
 
 def truncated_estimate(plan: Plan, p: Params) -> float:
-    """A-priori bound for the truncated method, written in terms of the
-    predicted kept-term count ``j_n`` instead of the rule size."""
+    """The paper's a-priori estimate for the truncated method (not a bound,
+    ROADMAP item 1), in terms of the predicted kept-term count ``j_n``."""
     a = p.alpha
     pi = math.pi
     if plan.n > n_star(p):

@@ -126,6 +126,27 @@ def test_apply_identity_matrix(tmp_path, capsys):
     assert "plan: n=40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_apply_reports_the_scheme_that_ran(tmp_path, capsys, mode):
+    diag = tmp_path / "d.txt"
+    diag.write_text("1.0\n50.0\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n2.0\n")
+    code = main([
+        "apply", "--alpha", "0.5", "--h", "0.01", "--n", "40", "--mode", mode,
+        "--diag-file", str(diag), "--vector-file", str(rhs), "--out", str(tmp_path / "y.txt"),
+    ])
+    assert code == 0
+    s = scheme(40, Params(0.5, 0.01), mode)
+    (n, m), (k_n, k_m) = s.sizes, s.kept
+    assert capsys.readouterr().err == (
+        f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={s.solves} "
+        f"predicted_error={s.predicted_error:.6e}\n"
+    )
+    if mode == "standard":
+        assert (m, k_n, k_m) == (40, 40, 40)
+
+
 def test_apply_diagonal_with_infinite_mode(tmp_path, capsys):
     diag = tmp_path / "d.txt"
     diag.write_text("1.0\n+inf\n")

@@ -16,7 +16,6 @@ from fraclag.operators import (
     DenseOperator,
     DiagonalOperator,
     OperatorError,
-    _systems_for,
     apply_resolvent,
     mode_counts,
     node_system,
@@ -85,6 +84,19 @@ def test_mode_counts():
         assert (s.sizes, s.kept) == mode_counts(25, p, mode)
         assert s.solves == sum(s.kept)
         assert s.predicted_error == advertised[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scheme_systems_are_the_kept_nodes(mode):
+    p = Params(0.6, 0.01)
+    s = scheme(30, p, mode)
+    assert len(s.systems) == s.solves
+    want = []
+    for size, count, which in zip(s.sizes, s.kept, ("first", "second")):
+        rule = gauss_laguerre(size)
+        want += [node_system(rule.nodes[j], rule.weights[j], which, p) for j in range(count)]
+    assert list(s.systems) == want
+    assert s[:2] == mode_counts(30, p, mode)
 
 
 def test_mode_counts_rejects_unknown_mode():
@@ -241,7 +253,7 @@ def test_dense_apply_sum_matches_default(mode):
     _, mat = _rotated(np.logspace(0, 6, 30), 5)
     dense = DenseOperator(mat)
     b = np.random.default_rng(1).standard_normal(30)
-    systems = _systems_for(30, Params(0.4, 0.1), mode)
+    systems = scheme(30, Params(0.4, 0.1), mode).systems
     got = dense.apply_sum(systems, b)
     want = CallbackOperator(30, dense.solve_shifted).apply_sum(systems, b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -273,6 +285,16 @@ def test_callback_operator_parity():
     assert np.array_equal(got, ref)
 
 
+def test_callback_operator_refuses_non_finite_solution():
+    def solve(sigma, tau, rhs):
+        y = rhs / (sigma + tau)
+        y[1] = np.nan
+        return y
+
+    with pytest.raises(OperatorError, match="non-finite.*sigma=.*tau="):
+        apply_resolvent(CallbackOperator(3, solve), np.ones(3), Params(0.5, 1.0), 5)
+
+
 def test_callback_operator_rejects_bad_shape():
     cb = CallbackOperator(3, lambda s, t, b: np.zeros(2))
     with pytest.raises(OperatorError):
@@ -288,6 +310,9 @@ def test_apply_resolvent_validates_inputs():
         apply_resolvent(op, np.ones((3, 1)), p, 10)
     with pytest.raises(ValueError):
         apply_resolvent(op, np.ones(3), p, 10, mode="other")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apply_resolvent(op, [1.0, bad, 1.0], p, 10)
 
 
 def test_worker_pool_does_not_change_bits(monkeypatch):
@@ -358,17 +383,21 @@ def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
 
 
 @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES + ("far-tail",))
 def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
     rng = np.random.default_rng(size)
     d = 10.0 ** rng.uniform(0, 16, size)
-    d[[0, -1]] = np.inf  # +inf entries in the first and the last block
+    d[[0, size // 3, -1]] = np.inf  # +inf entries in the first, a middle and the last block
     b = rng.standard_normal(size)
     b[size // 2] = -0.0
     p = Params(0.4, 0.01)
     tail = node_system(500.0, 0.25, "first", p)
     assert tail.tau == 0.0  # 0 * inf: the +inf entries need pinning
-    systems = _systems_for(30, p, mode) + [tail]
+    if mode == "far-tail":
+        systems = [tail, node_system(600.0, 0.5, "first", p)]
+        assert all(s.tau == 0.0 for s in systems)
+    else:
+        systems = list(scheme(30, p, mode).systems) + [tail]
     diag = DiagonalOperator(d)
     got = diag.apply_sum(systems, b)
     want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
@@ -378,7 +407,7 @@ def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
 
 def test_diagonal_apply_sum_rejects_wrong_length():
     with pytest.raises(ValueError):
-        DiagonalOperator(np.ones(3)).apply_sum(_systems_for(5, Params(0.5, 1.0), "standard"), np.ones(4))
+        DiagonalOperator(np.ones(3)).apply_sum(scheme(5, Params(0.5, 1.0), "standard").systems, np.ones(4))
 
 
 def test_worker_pool_ignores_invalid_setting(monkeypatch):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fraclag.estimates import eps1, eps2, n_star, standard_estimate
+from fraclag.estimates import eps1, eps2, g_sequences, n_star, q_estimates, standard_estimate
 from fraclag.integrands import Params
-from fraclag.laguerre import gauss_laguerre
+from fraclag.laguerre import MAX_RULE_SIZE, gauss_laguerre
 from fraclag.planner import (
     Plan,
     analytic_j,
@@ -274,10 +274,15 @@ def test_plan_for_tolerance_unreachable():
         plan_for_tolerance(1e-300, Params(0.5, 1.0), n_max=5)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "7"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "7", MAX_RULE_SIZE + 1])
 def test_planner_rejects_bad_rule_size(bad):
     p = Params(0.5, 1.0)
     with pytest.raises((TypeError, ValueError)):
         balance_m(bad, p)
     with pytest.raises((TypeError, ValueError)):
         make_plan(bad, p)
+    # the estimates share the planner's rule-size validation
+    for estimate in (g_sequences, eps1, eps2, standard_estimate, balanced_estimate,
+                     lambda n, p: q_estimates(10.0, n, p)):
+        with pytest.raises(ValueError, match="rule size must be"):
+            estimate(bad, p)
