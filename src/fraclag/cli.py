@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 for runtime or data errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -18,16 +17,9 @@ from . import io
 from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
 from .integrands import Params
 from .laguerre import MAX_RULE_SIZE
-from .operators import (
-    MODES,
-    DenseOperator,
-    DiagonalOperator,
-    OperatorError,
-    apply_resolvent,
-    scheme,
-)
+from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_resolvent
 from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
-from .planner import make_plan, plan_for_tolerance
+from .planner import MODES, make_plan, plan_for_tolerance, scheme
 
 __all__ = ["main", "build_parser", "benchmark_diagonal"]
 
@@ -60,18 +52,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _rule_size(text: str) -> int:
+def _rule_size(text: str, what: str = "rule size") -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if not 1 <= value <= MAX_RULE_SIZE:
-        raise argparse.ArgumentTypeError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what} must be in [1, {MAX_RULE_SIZE}], got {text!r}")
     return value
 
 
 def _rule_size_list(text: str) -> list[int]:
-    return [_rule_size(part) for part in text.split(",") if part]
+    sizes = [_rule_size(part) for part in text.split(",") if part]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected at least one rule size, got {text!r}")
+    return sizes
 
 
 def _spectral_point(text: str) -> float:
@@ -88,10 +83,7 @@ def benchmark_diagonal() -> np.ndarray:
 
 def _emit(out, header, rows) -> None:
     if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([io.format_scalar(cell) for cell in row])
+        io.write_rows(sys.stdout, header, rows)
     else:
         io.write_csv(out, header, rows)
 
@@ -200,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_rule_size, required=True, help="first-integrand rule size")
     sp.add_argument("--lambda-min", type=_spectral_point, default=1.0)
     sp.add_argument("--lambda-max", type=_spectral_point, default=1e16)
-    sp.add_argument("--points", type=_rule_size, default=200, help="grid size, log-spaced")
+    sp.add_argument("--points", type=lambda text: _rule_size(text, "number of grid points"),
+                    default=200, help="grid size, log-spaced")
     sp.add_argument("--mode", choices=MODES, default="standard")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_scalar_sweep)

@@ -1,4 +1,5 @@
-"""Problem parameters and the two integrands of the resolvent representation.
+"""Problem parameters, the two integrands of the resolvent representation,
+and the shifted linear system each quadrature node of them becomes.
 
 For a spectral point ``lam >= 1`` of a positive self-adjoint operator, the
 scalar resolvent value ``1 / (1 + h * lam**alpha)`` equals
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Params", "f1", "f2", "bounds", "exact_scalar_resolvent"]
+__all__ = ["Params", "ShiftedSystem", "f1", "f2", "node_system", "bounds", "exact_scalar_resolvent"]
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,43 @@ def _f2(x, lam, p: Params):
     v = np.exp(-p.alpha * x / ap1)
     den = (u + s) * (1.0 + 2.0 * p.cos_pi_alpha * v + v * v)
     return (p.alpha / ap1) / den
+
+
+@dataclass(frozen=True)
+class ShiftedSystem:
+    """One node's solve (sigma*I + tau*L)y = b and the multiplier scale
+    applied to its solution.  sigma > 0 keeps the system positive definite
+    whenever the spectrum of L is nonnegative."""
+
+    sigma: float
+    tau: float
+    scale: float
+
+
+def node_system(x: float, w: float, which: str, p: Params) -> ShiftedSystem:
+    """Shifted system of the node at ``x`` with weight ``w``: ``w`` times
+    ``_f1`` or ``_f2`` above, factored as ``scale / (sigma + tau * lam)``.
+
+    ``which`` selects the integrand: "first" pairs a unit identity shift
+    with a decaying operator coefficient, "second" the other way around.
+    The trigonometric denominator of the integrand is folded into ``scale``.
+    """
+    a = p.alpha
+    if which == "first":
+        e = math.exp(-x)
+        return ShiftedSystem(
+            sigma=1.0,
+            tau=math.exp(-x / a + p.log_h_root),
+            scale=w / (e * e + 2.0 * e * p.cos_pi_alpha + 1.0),
+        )
+    if which == "second":
+        v = math.exp(-a * x / (a + 1.0))
+        return ShiftedSystem(
+            sigma=math.exp(-x / (a + 1.0)),
+            tau=p.h_root,
+            scale=w * (a / (a + 1.0)) / (1.0 + 2.0 * p.cos_pi_alpha * v + v * v),
+        )
+    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
 def bounds(p: Params) -> tuple[float, float]:

@@ -19,6 +19,7 @@ __all__ = [
     "read_diagonal",
     "read_vector",
     "write_vector",
+    "write_rows",
     "write_csv",
 ]
 
@@ -76,10 +77,14 @@ def write_vector(path, vec) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_rows(handle, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Headered CSV with deterministic bytes (fixed line terminator) to ``handle``."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_scalar(cell) for cell in row] for row in rows)
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Headered CSV with deterministic bytes (fixed line terminator)."""
+    """``write_rows`` to the file at ``path``, created or truncated."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_scalar(cell) for cell in row])
+        write_rows(handle, header, rows)

@@ -5,46 +5,32 @@ the resolvent approximation is a weighted sum of those solutions, which every
 backend computes through ``OperatorHandle.apply_sum``.  The default sums
 ``solve_shifted`` results in node order; ``DiagonalOperator`` fuses the whole
 sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
-runs that kernel in its eigenbasis.  Three variants share the accumulation
-path: ``standard`` runs both node sets at the same size, ``balanced`` shrinks
-the second set, ``truncated`` additionally drops tail nodes per the plan.
+runs that kernel in its eigenbasis.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .estimates import standard_estimate
-from .integrands import Params
-from .laguerre import _rule_size, gauss_laguerre
-from .planner import balance_m, balanced_estimate, make_plan
+from .integrands import Params, ShiftedSystem
+from .planner import scheme
 
 __all__ = [
     "OperatorError",
-    "ShiftedSystem",
     "OperatorHandle",
     "DiagonalOperator",
     "DenseOperator",
     "CallbackOperator",
-    "node_system",
-    "Scheme",
-    "scheme",
-    "mode_counts",
     "apply_resolvent",
     "scalar_approx",
-    "MODES",
 ]
-
-MODES = ("standard", "balanced", "truncated")
 
 _THREAD_ENV = "FRACLAG_THREADS"
 
@@ -57,42 +43,6 @@ _BLOCK = 1 << 14
 
 class OperatorError(RuntimeError):
     """An operator was refused or a shifted solve could not be completed."""
-
-
-@dataclass(frozen=True)
-class ShiftedSystem:
-    """One node's solve (sigma*I + tau*L)y = b and the multiplier scale
-    applied to its solution.  sigma > 0 keeps the system positive definite
-    whenever the spectrum of L is nonnegative."""
-
-    sigma: float
-    tau: float
-    scale: float
-
-
-def node_system(x: float, w: float, which: str, p: Params) -> ShiftedSystem:
-    """Shifted system of the node at ``x`` with weight ``w``.
-
-    ``which`` selects the integrand: "first" pairs a unit identity shift
-    with a decaying operator coefficient, "second" the other way around.
-    The trigonometric denominator of the integrand is folded into ``scale``.
-    """
-    a = p.alpha
-    if which == "first":
-        e = math.exp(-x)
-        return ShiftedSystem(
-            sigma=1.0,
-            tau=math.exp(-x / a + p.log_h_root),
-            scale=w / (e * e + 2.0 * e * p.cos_pi_alpha + 1.0),
-        )
-    if which == "second":
-        v = math.exp(-a * x / (a + 1.0))
-        return ShiftedSystem(
-            sigma=math.exp(-x / (a + 1.0)),
-            tau=p.h_root,
-            scale=w * (a / (a + 1.0)) / (1.0 + 2.0 * p.cos_pi_alpha * v + v * v),
-        )
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
 class OperatorHandle(ABC):
@@ -254,51 +204,6 @@ class CallbackOperator(OperatorHandle):
         if not np.isfinite(y).all():
             raise OperatorError(f"callback returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
         return y
-
-
-class Scheme(NamedTuple):
-    """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
-    ``(k1, k2)`` of each rule that become shifted solves, the a-priori
-    error estimate the mode advertises, and the shifted system of every
-    kept node in solve order: the first rule's, then the second's."""
-
-    sizes: tuple[int, int]
-    kept: tuple[int, int]
-    predicted_error: float
-    systems: tuple[ShiftedSystem, ...]
-
-    @property
-    def solves(self) -> int:
-        """Shifted solves per application, one per kept node."""
-        return sum(self.kept)
-
-
-def scheme(n: int, p: Params, mode: str) -> Scheme:
-    """The scheme of ``mode`` at first-rule size ``n``; the only place a mode
-    is turned into sizes, node systems and an advertised error."""
-    n = _rule_size(n)
-    if mode == "standard":
-        sizes, kept, error = (n, n), (n, n), standard_estimate(n, p)
-    elif mode == "balanced":
-        m = balance_m(n, p)
-        sizes, kept, error = (n, m), (n, m), balanced_estimate(n, p)
-    elif mode == "truncated":
-        plan = make_plan(n, p)
-        sizes, kept, error = (n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    systems: list[ShiftedSystem] = []
-    for size, count, which in zip(sizes, kept, ("first", "second")):
-        rule = gauss_laguerre(size)
-        systems.extend(
-            node_system(x, w, which, p) for x, w in zip(rule.nodes[:count], rule.weights[:count])
-        )
-    return Scheme(sizes, kept, error, tuple(systems))
-
-
-def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rule sizes and kept-node counts ((n1, n2), (k1, k2)) of a mode."""
-    return scheme(n, p, mode)[:2]
 
 
 def _in_order(pool: ThreadPoolExecutor, solve, systems, window: int) -> Iterator[np.ndarray]:

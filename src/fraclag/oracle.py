@@ -19,7 +19,8 @@ from scipy.integrate import IntegrationWarning, quad
 from .estimates import q_estimates
 from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent, f1, f2
 from .laguerre import gauss_laguerre
-from .operators import DiagonalOperator, apply_resolvent, scheme
+from .operators import DiagonalOperator, apply_resolvent
+from .planner import scheme
 
 __all__ = [
     "OracleError",

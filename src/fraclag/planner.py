@@ -1,22 +1,26 @@
-"""Rule sizing: balancing the two integrands and truncating both sums.
+"""Rule sizing: the three modes of ``scheme``.
 
-Given a size ``n`` for the first integrand, the planner picks a (smaller)
-size ``m`` for the second so both quadrature errors match, then drops the
-nodes whose contribution falls below the accuracy already lost, leaving
-``k_n + k_m`` shifted solves per resolvent application.
+``standard`` runs both integrands' rules at size ``n``.  ``balanced`` sizes
+the second at a smaller ``m`` so both quadrature errors match, and
+``truncated`` also drops the nodes whose contribution falls below the
+accuracy already lost, leaving ``k_n + k_m`` shifted solves per resolvent
+application.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .estimates import CURVATURE_C, eps1, eps2, n_star, n_star_star
-from .integrands import Params, bounds
+from .estimates import CURVATURE_C, eps1, eps2, n_star, n_star_star, standard_estimate
+from .integrands import Params, ShiftedSystem, bounds, node_system
 from .laguerre import _rule_size, gauss_laguerre, truncation_index
 
 __all__ = [
+    "MODES",
     "Plan",
+    "Scheme",
     "balance_m",
     "thresholds",
     "analytic_j",
@@ -25,7 +29,11 @@ __all__ = [
     "truncated_estimate",
     "asymptotic_estimates",
     "plan_for_tolerance",
+    "scheme",
+    "mode_counts",
 ]
+
+MODES = ("standard", "balanced", "truncated")
 
 # The second-integrand balance has two closed forms; the slow-decay form is
 # kept through a 25% band past the analytic crossover n_star, which drops
@@ -55,7 +63,10 @@ class Plan:
     s1: float
     s2: float
     predicted_error: float
-    inversions: int
+
+    @property
+    def inversions(self) -> int:
+        return self.k_n + self.k_m
 
 
 def balance_m(n: int, p: Params) -> int:
@@ -124,7 +135,6 @@ def make_plan(n: int, p: Params) -> Plan:
     k_n = truncation_index(gauss_laguerre(n), s1).index
     k_m = truncation_index(gauss_laguerre(m), s2).index
     j_n, j_m = analytic_j(n, m, p)
-    predicted = 4.0 * p.prefactor * eps1(n, p)
     return Plan(
         n=n,
         m=m,
@@ -134,15 +144,18 @@ def make_plan(n: int, p: Params) -> Plan:
         j_m=j_m,
         s1=s1,
         s2=s2,
-        predicted_error=predicted,
-        inversions=k_n + k_m,
+        predicted_error=_truncated_figure(n, p),
     )
+
+
+def _truncated_figure(n: int, p: Params) -> float:
+    return 4.0 * standard_estimate(n, p)
 
 
 def balanced_estimate(n: int, p: Params) -> float:
     """The paper's a-priori estimate for the balanced method, twice the
     dominant decay; not a bound (ROADMAP item 1)."""
-    return 2.0 * p.prefactor * eps1(n, p)
+    return 2.0 * standard_estimate(n, p)
 
 
 def truncated_estimate(plan: Plan, p: Params) -> float:
@@ -183,6 +196,51 @@ def plan_for_tolerance(tol: float, p: Params, n_max: int = 2000) -> Plan:
     if not (tol > 0.0) or math.isnan(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
     for n in range(1, n_max + 1):
-        if 4.0 * p.prefactor * eps1(n, p) <= tol:
+        if _truncated_figure(n, p) <= tol:
             return make_plan(n, p)
     raise ValueError(f"no n <= {n_max} meets tolerance {tol}")
+
+
+class Scheme(NamedTuple):
+    """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
+    ``(k1, k2)`` of each rule that become shifted solves, the a-priori
+    error estimate the mode advertises, and the shifted system of every
+    kept node in solve order: the first rule's, then the second's."""
+
+    sizes: tuple[int, int]
+    kept: tuple[int, int]
+    predicted_error: float
+    systems: tuple[ShiftedSystem, ...]
+
+    @property
+    def solves(self) -> int:
+        """Shifted solves per application, one per kept node."""
+        return sum(self.kept)
+
+
+def scheme(n: int, p: Params, mode: str) -> Scheme:
+    """The scheme of ``mode`` at first-rule size ``n``; the only place a mode
+    is turned into sizes, node systems and an advertised error."""
+    n = _rule_size(n)
+    if mode == "standard":
+        sizes, kept, error = (n, n), (n, n), standard_estimate(n, p)
+    elif mode == "balanced":
+        m = balance_m(n, p)
+        sizes, kept, error = (n, m), (n, m), balanced_estimate(n, p)
+    elif mode == "truncated":
+        plan = make_plan(n, p)
+        sizes, kept, error = (n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error
+    else:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    systems: list[ShiftedSystem] = []
+    for size, count, which in zip(sizes, kept, ("first", "second")):
+        rule = gauss_laguerre(size)
+        # Python floats: at a subnormal alpha, -x/alpha saturates to -inf with no numpy warning
+        nodes, weights = rule.nodes[:count].tolist(), rule.weights[:count].tolist()
+        systems.extend(node_system(x, w, which, p) for x, w in zip(nodes, weights))
+    return Scheme(sizes, kept, error, tuple(systems))
+
+
+def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``scheme(n, p, mode)``'s sizes and kept counts; kept because the benchmark imports it."""
+    return scheme(n, p, mode)[:2]

@@ -16,9 +16,9 @@ from fraclag.cli import main
 from fraclag.estimates import eps1, eps2, lambda_bar, standard_estimate
 from fraclag.integrands import Params, f1, f2
 from fraclag.laguerre import gauss_laguerre
-from fraclag.operators import DiagonalOperator, apply_resolvent, mode_counts
+from fraclag.operators import DiagonalOperator, apply_resolvent
 from fraclag.oracle import error_sweep, exact_diagonal_apply, representation_check
-from fraclag.planner import make_plan, truncated_estimate
+from fraclag.planner import make_plan, mode_counts, truncated_estimate
 
 BENCH_DIAG = 10.0 ** np.linspace(0.0, 16.0, 161)
 

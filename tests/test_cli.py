@@ -7,8 +7,7 @@ import pytest
 
 from fraclag.cli import main
 from fraclag.integrands import Params
-from fraclag.operators import MODES, scheme
-from fraclag.planner import make_plan
+from fraclag.planner import MODES, make_plan, scheme
 
 
 def _read_csv(path):
@@ -226,6 +225,30 @@ def test_bad_alpha_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--alpha", "1.5", "--h", "1.0", "--n", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag,sizes", [
+    ("plan", "--n", ""),
+    ("plan", "--n", ","),
+    ("operator-error", "--n-list", ""),
+])
+def test_empty_rule_size_list_is_a_usage_error(tmp_path, capsys, command, flag, sizes):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha", "0.5", "--h", "1", flag, sizes, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected at least one rule size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_points_error_names_the_grid(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scalar-sweep", "--alpha", "0.5", "--h", "1", "--n", "5",
+              "--points", "0", "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "number of grid points must be in [1, 10000], got '0'" in err
+    assert "rule size" not in err
 
 
 def test_operator_error_all_modes(tmp_path):

@@ -7,22 +7,18 @@ import numpy as np
 import pytest
 
 from fraclag.estimates import q_estimates, standard_estimate
-from fraclag.integrands import Params, exact_scalar_resolvent
+from fraclag.integrands import Params, exact_scalar_resolvent, node_system
 from fraclag.laguerre import gauss_laguerre
 from fraclag.operators import (
     _BLOCK,
-    MODES,
     CallbackOperator,
     DenseOperator,
     DiagonalOperator,
     OperatorError,
     apply_resolvent,
-    mode_counts,
-    node_system,
     scalar_approx,
-    scheme,
 )
-from fraclag.planner import balanced_estimate, make_plan
+from fraclag.planner import MODES, balanced_estimate, make_plan, mode_counts, scheme
 
 
 def test_node_system_first_integral_origin():
