@@ -17,7 +17,7 @@ from . import io
 from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
 from .integrands import Params
 from .laguerre import MAX_RULE_SIZE
-from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_resolvent
+from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_scheme
 from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
 from .planner import MODES, make_plan, plan_for_tolerance, scheme
 
@@ -142,15 +142,16 @@ def _cmd_operator_error(args) -> int:
     cost_mode = "truncated" if args.mode == "all" else args.mode
     rows = []
     for n in args.n_list:
+        built = {mode: scheme(n, p, mode) for mode in MODES}
         err = {
-            mode: float(np.abs(apply_resolvent(op, b, p, n, mode) - exact).max())
+            mode: float(np.abs(apply_scheme(op, b, p, built[mode]) - exact).max())
             for mode in wanted
         }
         rows.append((
-            n, scheme(n, p, cost_mode).solves,
-            err.get("standard", ""), scheme(n, p, "standard").predicted_error,
-            err.get("balanced", ""), scheme(n, p, "balanced").predicted_error,
-            err.get("truncated", ""), scheme(n, p, "truncated").predicted_error,
+            n, built[cost_mode].solves,
+            err.get("standard", ""), built["standard"].predicted_error,
+            err.get("balanced", ""), built["balanced"].predicted_error,
+            err.get("truncated", ""), built["truncated"].predicted_error,
         ))
     _emit(args.out, header, rows)
     return 0
@@ -163,9 +164,8 @@ def _cmd_apply(args) -> int:
     else:
         op = DiagonalOperator(io.read_diagonal(args.diag_file))
     b = io.read_vector(args.vector_file)
-    result = apply_resolvent(op, b, p, args.n, args.mode)
-    io.write_vector(args.out, result)
     ran = scheme(args.n, p, args.mode)
+    io.write_vector(args.out, apply_scheme(op, b, p, ran))
     (n, m), (k_n, k_m) = ran.sizes, ran.kept
     print(
         f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={ran.solves} "

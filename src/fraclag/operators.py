@@ -6,21 +6,31 @@ backend computes through ``OperatorHandle.apply_sum``.  The default sums
 ``solve_shifted`` results in node order; ``DiagonalOperator`` fuses the whole
 sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
 runs that kernel in its eigenbasis.
+
+The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
+than half an ulp of the running sum.  The diagonal kernel skips such a node
+for a whole block when a float bound proves that its term cannot change a
+bit of any entry there (``DiagonalOperator._kept_nodes``): the result stays
+bit for bit the default sum.  On 10**6 entries spread over 10^[0, 16] at
+alpha 0.5, h 0.01, n=50 it skips 45% of the (block, node) passes in
+standard mode and 35% in balanced mode; the truncated scheme has no such
+node, and a cheap test on its scales spares it the bounds.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .integrands import Params, ShiftedSystem
-from .planner import scheme
+from .planner import Scheme, scheme
 
 __all__ = [
     "OperatorError",
@@ -28,6 +38,7 @@ __all__ = [
     "DiagonalOperator",
     "DenseOperator",
     "CallbackOperator",
+    "apply_scheme",
     "apply_resolvent",
     "scalar_approx",
 ]
@@ -39,6 +50,10 @@ _THREAD_ENV = "FRACLAG_THREADS"
 # 10**6 entries on a 2-vCPU Xeon (2 MiB L2 per core), 2**14 and 2**15 timed
 # the same and 2**12 and 2**17 were a third to a half slower.
 _BLOCK = 1 << 14
+
+# A term below 2**-55 times every accumulator entry it meets is under a
+# quarter ulp of each, so adding it rounds back to the entry.
+_NEGLIGIBLE = 2.0**55
 
 
 class OperatorError(RuntimeError):
@@ -66,8 +81,11 @@ class OperatorHandle(ABC):
         FRACLAG_THREADS threads when that is above 1, and adds each solution
         as it arrives, so results are bit-reproducible whatever the setting.
         At most one solve per thread is in flight, so memory does not grow
-        with the number of systems.
+        with the number of systems.  ``b`` is taken as a float64 vector;
+        anything else raises ValueError.
         """
+        b = _as_vector(b, self.dimension)
+
         def solve(s: ShiftedSystem) -> np.ndarray:
             return self.solve_shifted(s.sigma, s.tau, b)
 
@@ -100,6 +118,13 @@ class DiagonalOperator(OperatorHandle):
         d.setflags(write=False)
         self._d = d
         self._infinite = np.flatnonzero(np.isinf(d))
+        # per block of apply_sum, its least and greatest finite entry, or
+        # None when every entry there is +inf
+        self._spans: list[tuple[float, float] | None] = []
+        for lo in range(0, d.size, _BLOCK):
+            finite = d[lo : lo + _BLOCK]
+            finite = finite[np.isfinite(finite)]
+            self._spans.append((float(finite.min()), float(finite.max())) if finite.size else None)
 
     @property
     def dimension(self) -> int:
@@ -121,18 +146,29 @@ class DiagonalOperator(OperatorHandle):
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         """The weighted sum of ``solve_shifted`` results, bit for bit, computed
         block by block with one scratch array and no allocation per system.
-        Runs serially: FRACLAG_THREADS does not apply."""
-        if b.shape != self._d.shape:
-            raise ValueError(f"b must have shape {self._d.shape}, got {b.shape}")
+        Runs serially: FRACLAG_THREADS does not apply.
+
+        In each block of 2**14 entries a node is skipped when
+        ``_kept_nodes`` proves that its term cannot change a bit of the
+        block's sum.  On 10**6 entries over 10^[0, 16] at alpha 0.5,
+        h 0.01, n=50 this takes a call from 128 to 73 ms in standard mode
+        and from 86 to 57 ms in balanced mode; truncated mode, which has
+        nothing to skip and runs no bounds, stays at 37 ms (medians of 15
+        interleaved calls on a 2-vCPU Xeon).
+        """
+        b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
         scratch = np.empty(min(_BLOCK, b.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, b.size, _BLOCK):
+            # _kept_nodes writes |b| of a block into scratch before that
+            # block's solves reuse it
+            blocks = zip(range(0, b.size, _BLOCK), self._kept_nodes(systems, b, scratch))
+            for lo, kept in blocks:
                 hi = min(lo + _BLOCK, b.size)
                 d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
                 # The same operations, in the same order, as solve_shifted
                 # followed by acc += scale * y.
-                for s in systems:
+                for s in compress(systems, kept):
                     np.multiply(s.tau, d, out=y)
                     np.add(s.sigma, y, out=y)
                     np.divide(rhs, y, out=y)
@@ -142,6 +178,68 @@ class DiagonalOperator(OperatorHandle):
             # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
             acc[self._infinite] = 0.0
         return acc
+
+    def _kept_nodes(
+        self, systems: Sequence[ShiftedSystem], b: np.ndarray, scratch: np.ndarray
+    ) -> Iterator[list[bool]]:
+        """Per block of ``apply_sum``, whether each system's term may change a
+        bit of the block's sum; ``scratch`` receives |b| of the block.
+
+        While the fields of the systems so far are finite and >= 0, each term
+        ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
+        |acc_i| never shrinks and is at least every term added so far.
+        Rounding is monotone, so over the block's finite entries
+        ``scale*(bmax/(sigma + tau*dmin))`` bounds each computed term from
+        above and ``scale*(bmin/(sigma + tau*dmax))`` bounds it from below
+        where b_i != 0 (bmin, bmax over the nonzero |b_i|).  A term whose
+        upper bound is 2**-55 of an earlier lower bound is thus under a
+        quarter ulp of every acc_i with b_i != 0 and adds nothing under
+        round-to-nearest; where b_i == 0 it is +-0 once sigma + tau*dmin > 0,
+        and +inf entries are pinned to zero afterwards anyway.  From the
+        first system with a negative or non-finite field on, every node is
+        kept.
+
+        Keeping a node is always exact, so the bounds run only where they
+        can pay.  A skip needs a term 2**-55 of an earlier one, which in
+        the node systems of a scheme takes scales that span more than 2**55:
+        the standard and balanced schemes' span about 2**250, a truncated
+        scheme's usually less.  A call whose scales span less, and every
+        block after one that keeps every node, keeps every node unchecked.
+        """
+        every = [True] * len(systems)
+        scales = [s.scale for s in systems]
+        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
+        inf = math.inf
+        for lo, span in zip(range(0, b.size, _BLOCK), self._spans):
+            if span is None:
+                yield [False] * len(systems)
+                continue
+            if not bounding:
+                yield every
+                continue
+            y = scratch[: min(_BLOCK, b.size - lo)]
+            np.abs(b[lo : lo + y.size], out=y)
+            b_max, b_min = float(y.max()), float(y.min())
+            if b_min == 0.0:
+                b_min = float(np.min(y, where=y > 0.0, initial=inf))
+            d_min, d_max = span
+            floor = 0.0  # the least |acc_i| over b_i != 0 proven so far
+            kept = []
+            for s in systems:
+                sigma, tau, scale = s.sigma, s.tau, s.scale
+                if not (0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf):
+                    break
+                least = sigma + tau * d_min
+                if least > 0.0:
+                    kept.append(not (scale * (b_max / least) * _NEGLIGIBLE < floor))
+                    term = scale * (b_min / (sigma + tau * d_max))
+                    if term > floor:
+                        floor = term
+                else:
+                    kept.append(True)
+            kept += every[len(kept) :]
+            bounding = not all(kept)
+            yield kept
 
 
 class DenseOperator(OperatorHandle):
@@ -176,6 +274,7 @@ class DenseOperator(OperatorHandle):
         return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
+        b = _as_vector(b, self.dimension)
         return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
 
 
@@ -233,21 +332,34 @@ def _worker_count() -> int:
     return workers if workers > 1 else 1
 
 
+def _as_vector(b, dimension: int) -> np.ndarray:
+    """``b`` as a 1-D float64 array of length ``dimension``, else ValueError."""
+    vec = np.asarray(b, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError(f"b must be 1-D, got shape {vec.shape}")
+    if vec.size != dimension:
+        raise ValueError(
+            f"dimension mismatch: operator is {dimension}, vector is {vec.size}"
+        )
+    return vec
+
+
+def apply_scheme(op: OperatorHandle, b, p: Params, built: Scheme) -> np.ndarray:
+    """Approximate (I + h*L^alpha)^{-1} b with a scheme already built by
+    ``scheme(n, p, mode)`` for the same ``p``, as
+    ``prefactor * op.apply_sum(built.systems, b)``; ``b`` must be finite."""
+    vec = _as_vector(b, op.dimension)
+    if not np.isfinite(vec).all():
+        raise ValueError("b must be finite")
+    return p.prefactor * op.apply_sum(built.systems, vec)
+
+
 def apply_resolvent(
     op: OperatorHandle, b, p: Params, n: int, mode: str = "standard"
 ) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with the n-point method, as
     ``prefactor * op.apply_sum(scheme(n, p, mode).systems, b)``."""
-    vec = np.asarray(b, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError(f"b must be 1-D, got shape {vec.shape}")
-    if vec.size != op.dimension:
-        raise ValueError(
-            f"dimension mismatch: operator is {op.dimension}, vector is {vec.size}"
-        )
-    if not np.isfinite(vec).all():
-        raise ValueError("b must be finite")
-    return p.prefactor * op.apply_sum(scheme(n, p, mode).systems, vec)
+    return apply_scheme(op, b, p, scheme(n, p, mode))
 
 
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:

@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .estimates import q_estimates
 from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent, f1, f2
 from .laguerre import gauss_laguerre
-from .operators import DiagonalOperator, apply_resolvent
+from .operators import DiagonalOperator, apply_scheme
 from .planner import scheme
 
 __all__ = [
@@ -159,12 +159,13 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         return []
-    (n1, n2), (c1, c2) = scheme(n, p, mode)[:2]
+    built = scheme(n, p, mode)
+    (n1, n2), (c1, c2) = built.sizes, built.kept
     rule1 = gauss_laguerre(n1)
     rule2 = gauss_laguerre(n2)
     x1, w1 = rule1.nodes[:c1], rule1.weights[:c1]
     x2, w2 = rule2.nodes[:c2], rule2.weights[:c2]
-    approx = apply_resolvent(DiagonalOperator(grid), np.ones(len(grid)), p, n, mode)
+    approx = apply_scheme(DiagonalOperator(grid), np.ones(len(grid)), p, built)
 
     records = []
     for lam, approx_lam in zip(grid, approx):

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from fraclag import cli, operators, oracle, planner
 from fraclag.cli import main
 from fraclag.integrands import Params
 from fraclag.planner import MODES, make_plan, scheme
@@ -310,3 +311,30 @@ def test_operator_error_runs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("FRACLAG_THREADS", "4")
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("args, builds", [
+    (["operator-error", "--n-list", "10,20,40"], 9),
+    (["operator-error", "--n-list", "10,20,40", "--mode", "balanced"], 9),
+    (["apply", "--n", "40"], 1),
+    (["scalar-sweep", "--n", "10", "--points", "5"], 1),
+])
+def test_each_scheme_is_built_once(tmp_path, monkeypatch, args, builds):
+    # every module that imported planner.scheme sees the counting wrapper
+    calls, build = [], planner.scheme
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return build(*a, **kw)
+
+    for module in (planner, operators, oracle, cli):
+        monkeypatch.setattr(module, "scheme", counted)
+    diag = tmp_path / "d.txt"
+    diag.write_text("1.0\n50.0\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n2.0\n")
+    files = {"apply": ["--diag-file", str(diag), "--vector-file", str(rhs)]}
+    code = main(args + ["--alpha", "0.5", "--h", "0.01", "--out", str(tmp_path / "out")]
+                + files.get(args[0], []))
+    assert code == 0
+    assert len(calls) == builds == len(set(calls))

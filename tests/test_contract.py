@@ -1,4 +1,5 @@
-"""Property tests of the sizing contract over the whole accepted domain."""
+"""Property tests of the sizing contract over the whole accepted domain, and
+of the diagonal kernel against the per-solve default sum."""
 
 import math
 
@@ -9,8 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fraclag.estimates import standard_estimate  # noqa: E402
-from fraclag.integrands import Params  # noqa: E402
-from fraclag.operators import DiagonalOperator, apply_resolvent  # noqa: E402
+from fraclag.integrands import Params, ShiftedSystem  # noqa: E402
+from fraclag.operators import _BLOCK, DiagonalOperator, OperatorHandle, apply_resolvent  # noqa: E402
 from fraclag.planner import MODES, scheme  # noqa: E402
 
 # each mode's advertised error as a multiple of the standard figure
@@ -43,3 +44,64 @@ def test_scheme_contract(p, n, mode):
     y = apply_resolvent(_SPECTRUM, np.ones(_SPECTRUM.dimension), p, n, mode)
     assert np.isfinite(y).all()
     assert y[-1] == 0.0
+
+
+@st.composite
+def spectra(draw):
+    """Diagonal entries in [1, 10**top] over 1 to 3 blocks of the kernel,
+    sorted or not, with up to three +inf entries."""
+    blocks = draw(st.integers(1, 3))
+    size = draw(st.integers((blocks - 1) * _BLOCK + 1, blocks * _BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 300.0)), size)
+    if draw(st.booleans()):
+        d.sort()
+    d[rng.integers(0, size, draw(st.integers(0, 3)))] = math.inf
+    return d
+
+
+_SPECIAL_B = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+
+
+@st.composite
+def hand_made_systems(draw):
+    """Nonnegative systems with scales down to 1e-60, then one more with a
+    negative scale, or with tau == 0 and sigma possibly 0 (b/0 terms)."""
+    def system(sigma, tau):
+        return ShiftedSystem(sigma, tau, 10.0 ** draw(st.floats(-60.0, 1.0)))
+
+    def sigma():
+        return 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    systems = [system(sigma(), draw(st.floats(0.0, 1e3))) for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        extra = ShiftedSystem(sigma(), draw(st.floats(0.0, 1e3)), -draw(st.floats(0.0, 10.0)))
+    else:
+        extra = system(draw(st.sampled_from([0.0, sigma()])), 0.0)
+    systems.insert(draw(st.integers(0, len(systems))), extra)
+    return systems
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=spectra(),
+    seed=st.integers(0, 2**32 - 1),
+    zero_frac=st.floats(0.0, 1.0),
+    b_scale=st.floats(-300.0, 300.0),
+    specials=st.lists(st.sampled_from(_SPECIAL_B), max_size=8),
+    systems=st.one_of(
+        st.builds(lambda p, n, mode: scheme(n, p, mode).systems,
+                  accepted_params(), st.integers(1, 50), st.sampled_from(MODES)),
+        hand_made_systems(),
+    ),
+)
+def test_diagonal_apply_sum_is_the_default_sum(d, seed, zero_frac, b_scale, specials, systems):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(d.size) * 10.0**b_scale
+    b[rng.random(d.size) < zero_frac] = 0.0
+    b[rng.integers(0, d.size, len(specials))] = specials
+    diag = DiagonalOperator(d)
+    with np.errstate(divide="ignore"):  # a hand-made sigma = tau = 0 divides by zero
+        got = diag.apply_sum(systems, b)
+        want = OperatorHandle.apply_sum(diag, systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fraclag.estimates import q_estimates, standard_estimate
-from fraclag.integrands import Params, exact_scalar_resolvent, node_system
+from fraclag.integrands import Params, ShiftedSystem, exact_scalar_resolvent, node_system
 from fraclag.laguerre import gauss_laguerre
 from fraclag.operators import (
     _BLOCK,
@@ -401,9 +401,70 @@ def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
     assert got[0] == 0.0 and got[-1] == 0.0
 
 
-def test_diagonal_apply_sum_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        DiagonalOperator(np.ones(3)).apply_sum(scheme(5, Params(0.5, 1.0), "standard").systems, np.ones(4))
+_SMALL_OPERATORS = {
+    "default": lambda: CallbackOperator(3, DiagonalOperator([1.0, 2.0, 4.0]).solve_shifted),
+    "diagonal": lambda: DiagonalOperator([1.0, 2.0, 4.0]),
+    "dense": lambda: DenseOperator(np.diag([1.0, 2.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_OPERATORS))
+def test_apply_sum_takes_b_as_float64(kind):
+    op = _SMALL_OPERATORS[kind]()
+    systems = scheme(5, Params(0.5, 1.0), "standard").systems
+    want = op.apply_sum(systems, np.array([1.0, 2.0, 3.0]))
+    for b in ([1, 2, 3], np.array([1, 2, 3]), np.array([1, 2, 3], dtype=np.float32)):
+        got = op.apply_sum(systems, b)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_OPERATORS))
+@pytest.mark.parametrize("b", [np.ones(2), np.ones(4), np.ones((3, 1)), 1.0])
+def test_diagonal_apply_sum_rejects_wrong_length(kind, b):
+    systems = scheme(5, Params(0.5, 1.0), "standard").systems
+    with pytest.raises(ValueError, match="must be 1-D|dimension mismatch"):
+        _SMALL_OPERATORS[kind]().apply_sum(systems, b)
+
+
+def test_diagonal_skips_most_tail_terms_at_the_paper_point():
+    # standard mode at n=50: the far nodes of both rules add under a
+    # quarter ulp of the running sum in most blocks
+    op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
+    systems = scheme(50, Params(0.5, 0.01), "standard").systems
+    kept = np.array(list(op._kept_nodes(systems, np.ones(op.dimension), np.empty(_BLOCK))))
+    assert kept.shape == (4, len(systems))
+    assert kept[:, 0].all()  # nothing is known before the first term
+    assert 1.0 - kept.mean() >= 0.4
+
+
+def test_diagonal_skip_needs_nonnegative_systems():
+    d = np.full(_BLOCK + 1, np.inf)
+    d[:_BLOCK] = np.logspace(0, 16, _BLOCK)  # the second block is all +inf
+    op = DiagonalOperator(d)
+    b, scratch = np.ones(d.size), np.empty(_BLOCK)
+    big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
+    first, second = op._kept_nodes([big, tiny], b, scratch)
+    assert first == [True, False] and second == [False, False]
+    # a term of the other sign may shrink |acc|: every node after it runs
+    for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
+        first, _ = op._kept_nodes([big, tiny, odd, tiny], b, scratch)
+        assert first == [True, False, True, True]
+
+
+def test_diagonal_bounds_run_only_where_they_can_skip():
+    op = DiagonalOperator(np.logspace(0, 16, 3 * _BLOCK))
+    b = np.repeat([1.0, 2.0, 3.0], _BLOCK)
+    scratch = np.full(_BLOCK, np.nan)
+    # this truncated scheme's scales span less than 2**55: no block is bounded
+    truncated = scheme(50, Params(0.5, 0.01), "truncated").systems
+    assert all(all(kept) for kept in op._kept_nodes(truncated, b, scratch))
+    assert np.isnan(scratch).all()
+    # scales 1e40 apart, yet the second term is the larger: the first block
+    # skips nothing, so it is the only one bounded
+    spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
+    assert all(all(kept) for kept in op._kept_nodes(spread, b, scratch))
+    assert (scratch == 1.0).all()
 
 
 def test_worker_pool_ignores_invalid_setting(monkeypatch):
