@@ -148,11 +148,18 @@ def _f2(x, lam, p: Params):
 class ShiftedSystem:
     """One node's solve (sigma*I + tau*L)y = b and the multiplier scale
     applied to its solution.  sigma > 0 keeps the system positive definite
-    whenever the spectrum of L is nonnegative."""
+    whenever the spectrum of L is nonnegative.  A NaN field, or
+    sigma == tau == 0, which is singular for every L, raises ValueError."""
 
     sigma: float
     tau: float
     scale: float
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.sigma) or math.isnan(self.tau) or math.isnan(self.scale):
+            raise ValueError(f"shifted system fields must not be NaN, got {self}")
+        if self.sigma == 0.0 and self.tau == 0.0:
+            raise ValueError(f"sigma == tau == 0 makes a singular system, got {self}")
 
 
 def node_system(x: float, w: float, which: str, p: Params) -> ShiftedSystem:

@@ -7,6 +7,13 @@ backend computes through ``OperatorHandle.apply_sum``.  The default sums
 sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
 runs that kernel in its eigenbasis.
 
+FRACLAG_THREADS sets the worker count of both paths.  Unset, the per-solve
+default runs serially, since each solve in flight holds a vector, and the
+diagonal kernel deals its blocks to the usable cores, since a worker there
+holds one block of scratch.  The kernel keeps one pool across calls; the
+per-solve default builds one per call, because a shared pool would deadlock
+when a solve it runs calls back into ``apply_sum``.
+
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
 for a whole block when a float bound proves that its term cannot change a
@@ -21,9 +28,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from itertools import compress, islice
 from typing import Callable, Iterator, Sequence
 
@@ -45,11 +53,15 @@ __all__ = [
 
 _THREAD_ENV = "FRACLAG_THREADS"
 
-# Entries per block of DiagonalOperator.apply_sum: the block's entries,
-# right-hand side, scratch and accumulator (4 x 128 KiB) stay in L2.  At
-# 10**6 entries on a 2-vCPU Xeon (2 MiB L2 per core), 2**14 and 2**15 timed
-# the same and 2**12 and 2**17 were a third to a half slower.
-_BLOCK = 1 << 14
+# Entries per block of DiagonalOperator.apply_sum, which is also the unit its
+# workers share out.  The block's entries, right-hand side, scratch and
+# accumulator take 4 x 512 KiB per worker.  Serially 2**14, 2**15 and 2**16
+# time within noise at 10**6 entries on a 2-vCPU Xeon.  Split over two
+# threads, a 2**14 block's ufunc passes last only 5-13 us, so handing the
+# interpreter lock between the threads ate the gain; with 2**16 blocks the
+# mean call over the three modes fell from 82-101 to 53-63 ms, against
+# 62-77 ms with 2**15 (5 interleaved process triples, median of 7 calls).
+_BLOCK = 1 << 16
 
 # A term below 2**-55 times every accumulator entry it meets is under a
 # quarter ulp of each, so adding it rounds back to the entry.
@@ -145,45 +157,82 @@ class DiagonalOperator(OperatorHandle):
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         """The weighted sum of ``solve_shifted`` results, bit for bit, computed
-        block by block with one scratch array and no allocation per system.
-        Runs serially: FRACLAG_THREADS does not apply.
+        block by block with one scratch block per worker and no allocation
+        per system.
 
-        In each block of 2**14 entries a node is skipped when
-        ``_kept_nodes`` proves that its term cannot change a bit of the
-        block's sum.  On 10**6 entries over 10^[0, 16] at alpha 0.5,
-        h 0.01, n=50 this takes a call from 128 to 73 ms in standard mode
-        and from 86 to 57 ms in balanced mode; truncated mode, which has
-        nothing to skip and runs no bounds, stays at 37 ms (medians of 15
-        interleaved calls on a 2-vCPU Xeon).
+        The blocks of 2**16 entries are dealt to W = min(workers, blocks)
+        parts, ``starts[t::W]``; the calling thread runs one part and a pool
+        kept across calls runs the others.  Workers are FRACLAG_THREADS
+        when that is set, else the usable cores.  Each entry's sum is formed
+        inside its block, in node order, so the bits do not depend on W.
+        In each block a node is skipped when ``_kept_nodes`` proves that its
+        term cannot change a bit of the block's sum.
+
+        On 10**6 entries over 10^[0, 16] at alpha 0.5, h 0.01, n=50, two
+        workers take a call from 103-135 to 68-82 ms in standard mode, from
+        84-100 to 52-63 ms in balanced mode and from 59-69 to 37-43 ms in
+        truncated mode (medians of 7 calls in each of 5 interleaved
+        processes on a 2-vCPU Xeon); FRACLAG_THREADS=1 times as before.
+        Blocks of 2**14 entries did not split: each ufunc pass lasted only
+        5-13 us, and handing the interpreter lock between threads ate the
+        gain.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
-        scratch = np.empty(min(_BLOCK, b.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # _kept_nodes writes |b| of a block into scratch before that
-            # block's solves reuse it
-            blocks = zip(range(0, b.size, _BLOCK), self._kept_nodes(systems, b, scratch))
-            for lo, kept in blocks:
-                hi = min(lo + _BLOCK, b.size)
-                d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
-                # The same operations, in the same order, as solve_shifted
-                # followed by acc += scale * y.
-                for s in compress(systems, kept):
-                    np.multiply(s.tau, d, out=y)
-                    np.add(s.sigma, y, out=y)
-                    np.divide(rhs, y, out=y)
-                    np.multiply(s.scale, y, out=y)
-                    np.add(out, y, out=out)
-            # solve_shifted pins +inf entries to +0.0, so each term and the sum
-            # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
-            acc[self._infinite] = 0.0
+        starts = range(0, b.size, _BLOCK)
+        workers = min(_worker_count(_usable_cores()), len(starts)) if len(starts) > 1 else 1
+        # numpy's error state is per thread: each part takes the caller's
+        errors = {**np.geterr(), "over": "ignore", "invalid": "ignore"}
+        on_error = np.geterrcall()
+
+        def part(t: int) -> None:
+            with np.errstate(call=on_error, **errors):
+                self._sum_blocks(systems, b, acc, starts[t::workers])
+
+        futures = []
+        if workers > 1:
+            pool = _kernel_pool(workers - 1)
+            futures = [pool.submit(part, t) for t in range(1, workers)]
+        try:
+            part(0)
+        finally:
+            wait(futures)  # every part writes into acc
+        for future in futures:
+            future.result()
+        # solve_shifted pins +inf entries to +0.0, so each term and the sum
+        # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
+        acc[self._infinite] = 0.0
         return acc
 
+    def _sum_blocks(
+        self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range
+    ) -> None:
+        """Add the kept terms of every block starting at ``starts`` into acc."""
+        scratch = np.empty(min(_BLOCK, b.size))
+        # _kept_nodes writes |b| of a block into scratch before that block's
+        # solves reuse it
+        for lo, kept in zip(starts, self._kept_nodes(systems, b, scratch, starts)):
+            hi = min(lo + _BLOCK, b.size)
+            d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
+            # The same operations, in the same order, as solve_shifted
+            # followed by acc += scale * y.
+            for s in compress(systems, kept):
+                np.multiply(s.tau, d, out=y)
+                np.add(s.sigma, y, out=y)
+                np.divide(rhs, y, out=y)
+                np.multiply(s.scale, y, out=y)
+                np.add(out, y, out=out)
+
     def _kept_nodes(
-        self, systems: Sequence[ShiftedSystem], b: np.ndarray, scratch: np.ndarray
+        self,
+        systems: Sequence[ShiftedSystem],
+        b: np.ndarray,
+        scratch: np.ndarray,
+        starts: range | None = None,
     ) -> Iterator[list[bool]]:
-        """Per block of ``apply_sum``, whether each system's term may change a
-        bit of the block's sum; ``scratch`` receives |b| of the block.
+        """Per block of ``apply_sum`` starting at ``starts`` (default: every
+        block), whether each system's term may change a bit of the block's
+        sum; ``scratch`` receives |b| of the block.
 
         While the fields of the systems so far are finite and >= 0, each term
         ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
@@ -204,13 +253,15 @@ class DiagonalOperator(OperatorHandle):
         the node systems of a scheme takes scales that span more than 2**55:
         the standard and balanced schemes' span about 2**250, a truncated
         scheme's usually less.  A call whose scales span less, and every
-        block after one that keeps every node, keeps every node unchecked.
+        block of ``starts`` after one that keeps every node, keeps every node
+        unchecked.
         """
         every = [True] * len(systems)
         scales = [s.scale for s in systems]
         bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
         inf = math.inf
-        for lo, span in zip(range(0, b.size, _BLOCK), self._spans):
+        for lo in range(0, b.size, _BLOCK) if starts is None else starts:
+            span = self._spans[lo // _BLOCK]
             if span is None:
                 yield [False] * len(systems)
                 continue
@@ -321,15 +372,46 @@ def _in_order(pool: ThreadPoolExecutor, solve, systems, window: int) -> Iterator
             future.cancel()
 
 
-def _worker_count() -> int:
+def _worker_count(default: int = 1) -> int:
+    """FRACLAG_THREADS as a worker count of at least 1; ``default`` when it
+    is unset, 1 when it is not an integer."""
     raw = os.environ.get(_THREAD_ENV)
     if raw is None:
-        return 1
+        return default
     try:
         workers = int(raw)
     except ValueError:
         return 1
     return workers if workers > 1 else 1
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (pid, threads, pool) of the diagonal kernel's shared pool, or None
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool(threads: int) -> ThreadPoolExecutor:
+    """The diagonal kernel's pool of ``threads`` threads, kept across calls.
+
+    A new one is built when the size changes and in a forked child, where
+    the parent's threads do not exist and a kept pool would wait for them
+    forever.  A pool replaced here is not shut down, since another caller
+    may still be submitting to it; its threads end once it is collected.
+    Its tasks never submit to it, so callers that nest or run
+    concurrently cannot deadlock it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (os.getpid(), threads):
+            _pool = (os.getpid(), threads, ThreadPoolExecutor(max_workers=threads))
+        return _pool[2]
 
 
 def _as_vector(b, dimension: int) -> np.ndarray:

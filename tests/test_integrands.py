@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclag.integrands import Params, bounds, exact_scalar_resolvent, f1, f2
+from fraclag.integrands import Params, ShiftedSystem, bounds, exact_scalar_resolvent, f1, f2
 
 # High-precision references (mpmath, 50 digits, rounded to double).
 F1_X1_LAM10_A03_H001 = 0.63783498435673219364
@@ -36,6 +36,28 @@ def test_params_rejects_bad_alpha(alpha):
 def test_params_rejects_bad_h(h):
     with pytest.raises(ValueError):
         Params(0.5, h)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(0.0, 0.0, 1.0), (-0.0, 0.0, 0.5), (0.0, -0.0, 0.0), (_NAN, 1.0, 1.0), (1.0, _NAN, 1.0), (1.0, 1.0, _NAN)],
+)
+def test_shifted_system_refuses_nan_and_singular_fields(fields):
+    with pytest.raises(ValueError, match="NaN|singular"):
+        ShiftedSystem(*fields)
+
+
+@pytest.mark.parametrize(
+    "fields", [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 1.0, -2.0), (0.0, float("inf"), 1.0)]
+)
+def test_shifted_system_accepts_what_the_kernel_handles(fields):
+    # negative fields, tau == 0 beside sigma > 0 and an infinite tau reach the
+    # diagonal kernel's tests
+    system = ShiftedSystem(*fields)
+    assert (system.sigma, system.tau, system.scale) == fields
 
 
 @pytest.mark.parametrize("alpha, h", [(0.01, 1e8), (0.01, 1e-8), (0.002, 10.0)])

@@ -1,7 +1,11 @@
 """Tests for shifted-system assembly and the operator-level resolvent."""
 
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,7 +320,8 @@ def test_worker_pool_does_not_change_bits(monkeypatch):
     rng = np.random.default_rng(3)
     d = 10.0 ** rng.uniform(0, 10, size=20)
     b = rng.standard_normal(20)
-    # the diagonal sums serially; the callback goes through the pool
+    # the diagonal's one block runs on the caller; the callback goes
+    # through the per-solve pool
     for op in (DiagonalOperator(d), CallbackOperator(20, DiagonalOperator(d).solve_shifted)):
         monkeypatch.delenv("FRACLAG_THREADS", raising=False)
         seq = apply_resolvent(op, b, p, 35, "truncated")
@@ -366,11 +371,18 @@ def test_default_apply_sum_keeps_few_solutions_in_flight(monkeypatch, threads):
     assert peak < 6 * b.nbytes
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+def _set_threads(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("FRACLAG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRACLAG_THREADS", threads)
+
+
+@pytest.mark.parametrize("threads", [None, "1", "2", "3"], ids=["unset", "1", "2", "3"])
 def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
-    # the fused sum allocates the accumulator and one block of scratch; the
-    # prefactor product may take one more vector
-    monkeypatch.setenv("FRACLAG_THREADS", threads)
+    # the fused sum allocates the accumulator and one block of scratch per
+    # worker; the prefactor product may take one more vector
+    _set_threads(monkeypatch, threads)
     size = 10**5
     op = DiagonalOperator(np.linspace(1.0, 1e6, size))
     b = np.ones(size)
@@ -378,12 +390,14 @@ def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
     assert peak < 3 * b.nbytes
 
 
-@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("threads", [None, "1", "2", "3", "7"], ids=["unset", "1", "2", "3", "7"])
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 5 * _BLOCK + 7])
 @pytest.mark.parametrize("mode", MODES + ("far-tail",))
-def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
+def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, threads):
     rng = np.random.default_rng(size)
     d = 10.0 ** rng.uniform(0, 16, size)
     d[[0, size // 3, -1]] = np.inf  # +inf entries in the first, a middle and the last block
+    d[3 * _BLOCK : 4 * _BLOCK] = np.inf  # the fourth of six blocks is all +inf
     b = rng.standard_normal(size)
     b[size // 2] = -0.0
     p = Params(0.4, 0.01)
@@ -395,10 +409,92 @@ def test_diagonal_apply_sum_matches_default_bitwise(size, mode):
     else:
         systems = list(scheme(30, p, mode).systems) + [tail]
     diag = DiagonalOperator(d)
-    got = diag.apply_sum(systems, b)
+    _set_threads(monkeypatch, "1")
     want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
+    _set_threads(monkeypatch, threads)
+    got = diag.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got[0] == 0.0 and got[-1] == 0.0
+
+
+def _three_blocks():
+    """A diagonal of three kernel blocks, a right-hand side and systems."""
+    rng = np.random.default_rng(11)
+    op = DiagonalOperator(10.0 ** rng.uniform(0, 16, 3 * _BLOCK))
+    return op, rng.standard_normal(op.dimension), scheme(30, Params(0.4, 0.01), "standard").systems
+
+
+def _apply_in_child(op, systems, b, conn):
+    conn.send_bytes(op.apply_sum(systems, b).tobytes())
+    conn.close()
+
+
+def test_kernel_pool_is_rebuilt_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    op, b, systems = _three_blocks()
+    want = op.apply_sum(systems, b).tobytes()  # builds the pool here first
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_apply_in_child, args=(op, systems, b, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's apply did not finish"
+        assert receive.recv_bytes() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_concurrent_callers_share_the_kernel_pool(monkeypatch):
+    op, b, systems = _three_blocks()
+    monkeypatch.setenv("FRACLAG_THREADS", "1")
+    want = op.apply_sum(systems, b)
+    monkeypatch.setenv("FRACLAG_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            futures = [callers.submit(op.apply_sum, systems, b) for _ in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_callback_may_call_the_threaded_kernel(monkeypatch):
+    # per-solve pool threads that each wait on the kernel pool
+    inner, b, systems = _three_blocks()
+
+    def solve(sigma, tau, rhs):
+        return inner.apply_sum([ShiftedSystem(sigma, tau, 1.0)], rhs)
+
+    op = CallbackOperator(inner.dimension, solve)
+    monkeypatch.setenv("FRACLAG_THREADS", "1")
+    want = op.apply_sum(systems, b)
+    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    results = []
+    caller = threading.Thread(target=lambda: results.append(op.apply_sum(systems, b)), daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "nested apply_sum deadlocked"
+    assert np.array_equal(results[0].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, threads):
+    # only the second block, which a worker thread runs when split, meets
+    # sigma + tau*d == 0
+    d = np.full(3 * _BLOCK, 4.0)
+    d[_BLOCK + 5] = 1.0
+    op = DiagonalOperator(d)
+    monkeypatch.setenv("FRACLAG_THREADS", threads)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        op.apply_sum([ShiftedSystem(-1.0, 1.0, 1.0)], np.ones(d.size))
 
 
 _SMALL_OPERATORS = {
