@@ -144,7 +144,7 @@ def _cmd_operator_error(args) -> int:
     for n in args.n_list:
         built = {mode: scheme(n, p, mode) for mode in MODES}
         err = {
-            mode: float(np.abs(apply_scheme(op, b, p, built[mode]) - exact).max())
+            mode: float(np.abs(apply_scheme(op, b, built[mode]) - exact).max())
             for mode in wanted
         }
         rows.append((
@@ -165,7 +165,7 @@ def _cmd_apply(args) -> int:
         op = DiagonalOperator(io.read_diagonal(args.diag_file))
     b = io.read_vector(args.vector_file)
     ran = scheme(args.n, p, args.mode)
-    io.write_vector(args.out, apply_scheme(op, b, p, ran))
+    io.write_vector(args.out, apply_scheme(op, b, ran))
     (n, m), (k_n, k_m) = ran.sizes, ran.kept
     print(
         f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={ran.solves} "

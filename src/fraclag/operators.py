@@ -10,9 +10,11 @@ runs that kernel in its eigenbasis.
 FRACLAG_THREADS sets the worker count of both paths.  Unset, the per-solve
 default runs serially, since each solve in flight holds a vector, and the
 diagonal kernel deals its blocks to the usable cores, since a worker there
-holds one block of scratch.  The kernel keeps one pool across calls; the
-per-solve default builds one per call, because a shared pool would deadlock
-when a solve it runs calls back into ``apply_sum``.
+holds one block of scratch.  Both build their pool per call and leave no
+thread behind; a pool kept across calls saved only the 0.2-0.3 ms it takes
+to start and join two threads.  A callback solve that calls the threaded
+kernel builds its own pool, so k threads nest to at most k*(k-1) kernel
+threads.
 
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from itertools import compress, islice
 from typing import Callable, Iterator, Sequence
 
@@ -162,20 +163,18 @@ class DiagonalOperator(OperatorHandle):
 
         The blocks of 2**16 entries are dealt to W = min(workers, blocks)
         parts, ``starts[t::W]``; the calling thread runs one part and a pool
-        kept across calls runs the others.  Workers are FRACLAG_THREADS
-        when that is set, else the usable cores.  Each entry's sum is formed
-        inside its block, in node order, so the bits do not depend on W.
-        In each block a node is skipped when ``_kept_nodes`` proves that its
-        term cannot change a bit of the block's sum.
+        of W - 1 threads, built for the call, runs the others.  Workers are
+        FRACLAG_THREADS when that is set, else the usable cores.  Each
+        entry's sum is formed inside its block, in node order, so the bits
+        do not depend on W.  In each block a node is skipped when
+        ``_kept_nodes`` proves that its term cannot change a bit of the
+        block's sum.
 
         On 10**6 entries over 10^[0, 16] at alpha 0.5, h 0.01, n=50, two
         workers take a call from 103-135 to 68-82 ms in standard mode, from
         84-100 to 52-63 ms in balanced mode and from 59-69 to 37-43 ms in
         truncated mode (medians of 7 calls in each of 5 interleaved
         processes on a 2-vCPU Xeon); FRACLAG_THREADS=1 times as before.
-        Blocks of 2**14 entries did not split: each ufunc pass lasted only
-        5-13 us, and handing the interpreter lock between threads ate the
-        gain.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -189,16 +188,15 @@ class DiagonalOperator(OperatorHandle):
             with np.errstate(call=on_error, **errors):
                 self._sum_blocks(systems, b, acc, starts[t::workers])
 
-        futures = []
         if workers > 1:
-            pool = _kernel_pool(workers - 1)
-            futures = [pool.submit(part, t) for t in range(1, workers)]
-        try:
+            # leaving the block waits for every part, since each writes into acc
+            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+                futures = [pool.submit(part, t) for t in range(1, workers)]
+                part(0)
+            for future in futures:
+                future.result()
+        else:
             part(0)
-        finally:
-            wait(futures)  # every part writes into acc
-        for future in futures:
-            future.result()
         # solve_shifted pins +inf entries to +0.0, so each term and the sum
         # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
         acc[self._infinite] = 0.0
@@ -207,16 +205,28 @@ class DiagonalOperator(OperatorHandle):
     def _sum_blocks(
         self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range
     ) -> None:
-        """Add the kept terms of every block starting at ``starts`` into acc."""
+        """Add the kept terms of every block starting at ``starts`` into acc.
+
+        A skip needs a term 2**-55 of an earlier one, which in the node
+        systems of a scheme takes scales that span more than 2**55: the
+        standard and balanced schemes' span about 2**250, a truncated
+        scheme's usually less.  Keeping a node is always exact, so a call
+        whose scales span less keeps every node unchecked.
+        """
         scratch = np.empty(min(_BLOCK, b.size))
-        # _kept_nodes writes |b| of a block into scratch before that block's
-        # solves reuse it
-        for lo, kept in zip(starts, self._kept_nodes(systems, b, scratch, starts)):
+        scales = [s.scale for s in systems]
+        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
+        for lo in starts:
+            if self._spans[lo // _BLOCK] is None:
+                continue  # every entry is +inf, pinned to zero by apply_sum
+            # _kept_nodes writes |b| of the block into scratch before the
+            # block's solves reuse it
+            kept = compress(systems, self._kept_nodes(systems, b, scratch, lo)) if bounding else systems
             hi = min(lo + _BLOCK, b.size)
             d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
             # The same operations, in the same order, as solve_shifted
             # followed by acc += scale * y.
-            for s in compress(systems, kept):
+            for s in kept:
                 np.multiply(s.tau, d, out=y)
                 np.add(s.sigma, y, out=y)
                 np.divide(rhs, y, out=y)
@@ -224,15 +234,12 @@ class DiagonalOperator(OperatorHandle):
                 np.add(out, y, out=out)
 
     def _kept_nodes(
-        self,
-        systems: Sequence[ShiftedSystem],
-        b: np.ndarray,
-        scratch: np.ndarray,
-        starts: range | None = None,
-    ) -> Iterator[list[bool]]:
-        """Per block of ``apply_sum`` starting at ``starts`` (default: every
-        block), whether each system's term may change a bit of the block's
-        sum; ``scratch`` receives |b| of the block.
+        self, systems: Sequence[ShiftedSystem], b: np.ndarray, scratch: np.ndarray, lo: int
+    ) -> list[bool]:
+        """For the block of ``apply_sum`` starting at ``lo``, whether each
+        system's term may change a bit of the block's sum; ``scratch``
+        receives |b| of the block.  No term of a block whose entries are all
+        +inf is kept, since apply_sum pins those entries to zero.
 
         While the fields of the systems so far are finite and >= 0, each term
         ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
@@ -247,50 +254,30 @@ class DiagonalOperator(OperatorHandle):
         and +inf entries are pinned to zero afterwards anyway.  From the
         first system with a negative or non-finite field on, every node is
         kept.
-
-        Keeping a node is always exact, so the bounds run only where they
-        can pay.  A skip needs a term 2**-55 of an earlier one, which in
-        the node systems of a scheme takes scales that span more than 2**55:
-        the standard and balanced schemes' span about 2**250, a truncated
-        scheme's usually less.  A call whose scales span less, and every
-        block of ``starts`` after one that keeps every node, keeps every node
-        unchecked.
         """
-        every = [True] * len(systems)
-        scales = [s.scale for s in systems]
-        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
+        span = self._spans[lo // _BLOCK]
+        if span is None:
+            return [False] * len(systems)
+        y = scratch[: min(_BLOCK, b.size - lo)]
+        np.abs(b[lo : lo + y.size], out=y)
+        b_max, b_min = float(y.max()), float(y.min())
         inf = math.inf
-        for lo in range(0, b.size, _BLOCK) if starts is None else starts:
-            span = self._spans[lo // _BLOCK]
-            if span is None:
-                yield [False] * len(systems)
-                continue
-            if not bounding:
-                yield every
-                continue
-            y = scratch[: min(_BLOCK, b.size - lo)]
-            np.abs(b[lo : lo + y.size], out=y)
-            b_max, b_min = float(y.max()), float(y.min())
-            if b_min == 0.0:
-                b_min = float(np.min(y, where=y > 0.0, initial=inf))
-            d_min, d_max = span
-            floor = 0.0  # the least |acc_i| over b_i != 0 proven so far
-            kept = []
-            for s in systems:
-                sigma, tau, scale = s.sigma, s.tau, s.scale
-                if not (0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf):
-                    break
-                least = sigma + tau * d_min
-                if least > 0.0:
-                    kept.append(not (scale * (b_max / least) * _NEGLIGIBLE < floor))
-                    term = scale * (b_min / (sigma + tau * d_max))
-                    if term > floor:
-                        floor = term
-                else:
-                    kept.append(True)
-            kept += every[len(kept) :]
-            bounding = not all(kept)
-            yield kept
+        if b_min == 0.0:
+            b_min = float(np.min(y, where=y > 0.0, initial=inf))
+        d_min, d_max = span
+        floor = 0.0  # the least |acc_i| over b_i != 0 proven so far
+        kept = [True] * len(systems)
+        for j, s in enumerate(systems):
+            sigma, tau, scale = s.sigma, s.tau, s.scale
+            if not (0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf):
+                break
+            least = sigma + tau * d_min
+            if least > 0.0:
+                kept[j] = not (scale * (b_max / least) * _NEGLIGIBLE < floor)
+                term = scale * (b_min / (sigma + tau * d_max))
+                if term > floor:
+                    floor = term
+        return kept
 
 
 class DenseOperator(OperatorHandle):
@@ -392,28 +379,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# (pid, threads, pool) of the diagonal kernel's shared pool, or None
-_pool: tuple[int, int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _kernel_pool(threads: int) -> ThreadPoolExecutor:
-    """The diagonal kernel's pool of ``threads`` threads, kept across calls.
-
-    A new one is built when the size changes and in a forked child, where
-    the parent's threads do not exist and a kept pool would wait for them
-    forever.  A pool replaced here is not shut down, since another caller
-    may still be submitting to it; its threads end once it is collected.
-    Its tasks never submit to it, so callers that nest or run
-    concurrently cannot deadlock it.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[:2] != (os.getpid(), threads):
-            _pool = (os.getpid(), threads, ThreadPoolExecutor(max_workers=threads))
-        return _pool[2]
-
-
 def _as_vector(b, dimension: int) -> np.ndarray:
     """``b`` as a 1-D float64 array of length ``dimension``, else ValueError."""
     vec = np.asarray(b, dtype=float)
@@ -426,14 +391,15 @@ def _as_vector(b, dimension: int) -> np.ndarray:
     return vec
 
 
-def apply_scheme(op: OperatorHandle, b, p: Params, built: Scheme) -> np.ndarray:
+def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with a scheme already built by
-    ``scheme(n, p, mode)`` for the same ``p``, as
-    ``prefactor * op.apply_sum(built.systems, b)``; ``b`` must be finite."""
+    ``scheme(n, p, mode)``, as
+    ``built.params.prefactor * op.apply_sum(built.systems, b)``; ``b`` must
+    be finite."""
     vec = _as_vector(b, op.dimension)
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
-    return p.prefactor * op.apply_sum(built.systems, vec)
+    return built.params.prefactor * op.apply_sum(built.systems, vec)
 
 
 def apply_resolvent(
@@ -441,7 +407,7 @@ def apply_resolvent(
 ) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with the n-point method, as
     ``prefactor * op.apply_sum(scheme(n, p, mode).systems, b)``."""
-    return apply_scheme(op, b, p, scheme(n, p, mode))
+    return apply_scheme(op, b, scheme(n, p, mode))
 
 
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:

@@ -165,7 +165,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     rule2 = gauss_laguerre(n2)
     x1, w1 = rule1.nodes[:c1], rule1.weights[:c1]
     x2, w2 = rule2.nodes[:c2], rule2.weights[:c2]
-    approx = apply_scheme(DiagonalOperator(grid), np.ones(len(grid)), p, built)
+    approx = apply_scheme(DiagonalOperator(grid), np.ones(len(grid)), built)
 
     records = []
     for lam, approx_lam in zip(grid, approx):

@@ -204,13 +204,15 @@ def plan_for_tolerance(tol: float, p: Params, n_max: int = 2000) -> Plan:
 class Scheme(NamedTuple):
     """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
     ``(k1, k2)`` of each rule that become shifted solves, the a-priori
-    error estimate the mode advertises, and the shifted system of every
-    kept node in solve order: the first rule's, then the second's."""
+    error estimate the mode advertises, the shifted system of every kept
+    node in solve order (the first rule's, then the second's) and the
+    ``Params`` they were built for."""
 
     sizes: tuple[int, int]
     kept: tuple[int, int]
     predicted_error: float
     systems: tuple[ShiftedSystem, ...]
+    params: Params
 
     @property
     def solves(self) -> int:
@@ -238,7 +240,7 @@ def scheme(n: int, p: Params, mode: str) -> Scheme:
         # Python floats: at a subnormal alpha, -x/alpha saturates to -inf with no numpy warning
         nodes, weights = rule.nodes[:count].tolist(), rule.weights[:count].tolist()
         systems.extend(node_system(x, w, which, p) for x, w in zip(nodes, weights))
-    return Scheme(sizes, kept, error, tuple(systems))
+    return Scheme(sizes, kept, error, tuple(systems), p)
 
 
 def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:

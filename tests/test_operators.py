@@ -20,6 +20,7 @@ from fraclag.operators import (
     DiagonalOperator,
     OperatorError,
     apply_resolvent,
+    apply_scheme,
     scalar_approx,
 )
 from fraclag.planner import MODES, balanced_estimate, make_plan, mode_counts, scheme
@@ -315,6 +316,31 @@ def test_apply_resolvent_validates_inputs():
             apply_resolvent(op, [1.0, bad, 1.0], p, 10)
 
 
+_SCHEME_OPERATORS = {
+    "diagonal": DiagonalOperator,
+    "dense": lambda d: DenseOperator(_rotated(d, 3)[1]),
+    "callback": lambda d: CallbackOperator(d.size, DiagonalOperator(d).solve_shifted),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", sorted(_SCHEME_OPERATORS))
+def test_apply_scheme_matches_apply_resolvent_bitwise(kind, mode):
+    d = np.logspace(0, 8, 12)
+    op = _SCHEME_OPERATORS[kind](d)
+    b = np.random.default_rng(4).standard_normal(d.size)
+    p = Params(0.45, 0.05)
+    built = scheme(30, p, mode)
+    assert built.params == p  # the scheme fixes the prefactor it is applied with
+    got = apply_scheme(op, b, built)
+    want = apply_resolvent(op, b, p, 30, mode)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for bad in (np.nan, np.inf, -np.inf):
+        b[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            apply_scheme(op, b, built)
+
+
 def test_worker_pool_does_not_change_bits(monkeypatch):
     p = Params(0.6, 0.01)
     rng = np.random.default_rng(3)
@@ -429,11 +455,11 @@ def _apply_in_child(op, systems, b, conn):
     conn.close()
 
 
-def test_kernel_pool_is_rebuilt_in_a_forked_child(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads
+def test_forked_child_gets_the_parents_bits(monkeypatch):
+    # the child inherits none of the parent's threads
     monkeypatch.setenv("FRACLAG_THREADS", "2")
     op, b, systems = _three_blocks()
-    want = op.apply_sum(systems, b).tobytes()  # builds the pool here first
+    want = op.apply_sum(systems, b).tobytes()  # runs threads here first
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_apply_in_child, args=(op, systems, b, send))
@@ -449,7 +475,7 @@ def test_kernel_pool_is_rebuilt_in_a_forked_child(monkeypatch):
     assert child.exitcode == 0
 
 
-def test_concurrent_callers_share_the_kernel_pool(monkeypatch):
+def test_concurrent_callers_get_the_serial_bits(monkeypatch):
     op, b, systems = _three_blocks()
     monkeypatch.setenv("FRACLAG_THREADS", "1")
     want = op.apply_sum(systems, b)
@@ -464,6 +490,14 @@ def test_concurrent_callers_share_the_kernel_pool(monkeypatch):
         sys.setswitchinterval(interval)
     for got in results:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_threaded_apply_leaves_no_thread_running(monkeypatch):
+    op, b, systems = _three_blocks()
+    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    before = threading.active_count()
+    op.apply_sum(systems, b)
+    assert threading.active_count() == before
 
 
 def test_callback_may_call_the_threaded_kernel(monkeypatch):
@@ -528,7 +562,8 @@ def test_diagonal_skips_most_tail_terms_at_the_paper_point():
     # quarter ulp of the running sum in most blocks
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 0.01), "standard").systems
-    kept = np.array(list(op._kept_nodes(systems, np.ones(op.dimension), np.empty(_BLOCK))))
+    b, scratch = np.ones(op.dimension), np.empty(_BLOCK)
+    kept = np.array([op._kept_nodes(systems, b, scratch, lo) for lo in range(0, op.dimension, _BLOCK)])
     assert kept.shape == (4, len(systems))
     assert kept[:, 0].all()  # nothing is known before the first term
     assert 1.0 - kept.mean() >= 0.4
@@ -540,27 +575,32 @@ def test_diagonal_skip_needs_nonnegative_systems():
     op = DiagonalOperator(d)
     b, scratch = np.ones(d.size), np.empty(_BLOCK)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    first, second = op._kept_nodes([big, tiny], b, scratch)
+    first, second = (op._kept_nodes([big, tiny], b, scratch, lo) for lo in (0, _BLOCK))
     assert first == [True, False] and second == [False, False]
     # a term of the other sign may shrink |acc|: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
-        first, _ = op._kept_nodes([big, tiny, odd, tiny], b, scratch)
+        first = op._kept_nodes([big, tiny, odd, tiny], b, scratch, 0)
         assert first == [True, False, True, True]
 
 
-def test_diagonal_bounds_run_only_where_they_can_skip():
+def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     op = DiagonalOperator(np.logspace(0, 16, 3 * _BLOCK))
     b = np.repeat([1.0, 2.0, 3.0], _BLOCK)
+    starts = range(0, op.dimension, _BLOCK)
     scratch = np.full(_BLOCK, np.nan)
-    # this truncated scheme's scales span less than 2**55: no block is bounded
+    # this truncated scheme's scales span less than 2**55: apply_sum bounds
+    # no block, and the bounds would keep every node anyway
     truncated = scheme(50, Params(0.5, 0.01), "truncated").systems
-    assert all(all(kept) for kept in op._kept_nodes(truncated, b, scratch))
+    bounds = DiagonalOperator._kept_nodes
+    monkeypatch.setattr(
+        DiagonalOperator, "_kept_nodes", lambda self, systems, b, _, lo: bounds(self, systems, b, scratch, lo)
+    )
+    op.apply_sum(truncated, b)
     assert np.isnan(scratch).all()
-    # scales 1e40 apart, yet the second term is the larger: the first block
-    # skips nothing, so it is the only one bounded
+    assert all(all(op._kept_nodes(truncated, b, np.empty(_BLOCK), lo)) for lo in starts)
+    # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
-    assert all(all(kept) for kept in op._kept_nodes(spread, b, scratch))
-    assert (scratch == 1.0).all()
+    assert all(all(op._kept_nodes(spread, b, scratch, lo)) for lo in starts)
 
 
 def test_worker_pool_ignores_invalid_setting(monkeypatch):
