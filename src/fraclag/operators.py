@@ -7,14 +7,16 @@ backend computes through ``OperatorHandle.apply_sum``.  The default sums
 sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
 runs that kernel in its eigenbasis.
 
-FRACLAG_THREADS sets the worker count of both paths.  Unset, the per-solve
-default runs serially, since each solve in flight holds a vector, and the
-diagonal kernel deals its blocks to the usable cores, since a worker there
-holds one block of scratch.  Both build their pool per call and leave no
-thread behind; a pool kept across calls saved only the 0.2-0.3 ms it takes
-to start and join two threads.  A callback solve that calls the threaded
-kernel builds its own pool, so k threads nest to at most k*(k-1) kernel
-threads.
+FRACLAG_THREADS sets the worker count of both paths, and both run through
+one ordered thread pool, ``_in_order``: the per-solve default hands it the
+systems and the diagonal kernel its strided parts of blocks.  Unset, the
+per-solve default runs serially, since each solve in flight holds a vector,
+and the diagonal kernel uses the usable cores, since a worker there holds
+one block of scratch.  The pool is built per call, runs every task under
+the caller's numpy error state and is joined before ``apply_sum`` returns;
+a pool kept across calls saved only the 0.2-0.3 ms it takes to start and
+join two threads.  A callback solve that calls the threaded kernel builds
+its own pool, so k threads nest to at most k*k kernel threads.
 
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
@@ -33,6 +35,7 @@ import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from itertools import compress, islice
 from typing import Callable, Iterator, Sequence
 
@@ -90,29 +93,20 @@ class OperatorHandle(ABC):
         """Return sum_j scale_j * (sigma_j*I + tau_j*L)^{-1} b for a 1-D ``b``
         of length ``dimension``, added in node order.
 
-        This default calls ``solve_shifted`` once per system, on a pool of
-        FRACLAG_THREADS threads when that is above 1, and adds each solution
-        as it arrives, so results are bit-reproducible whatever the setting.
-        At most one solve per thread is in flight, so memory does not grow
-        with the number of systems.  ``b`` is taken as a float64 vector;
-        anything else raises ValueError.
+        This default calls ``solve_shifted`` once per system, through
+        ``_in_order`` on FRACLAG_THREADS threads (serially when unset), and
+        adds each solution as it arrives, so results are bit-reproducible
+        whatever the setting.  At most one solve per thread is in flight, so
+        memory does not grow with the number of systems.  ``b`` is taken as
+        a read-only float64 vector; anything else raises ValueError.
         """
         b = _as_vector(b, self.dimension)
-
-        def solve(s: ShiftedSystem) -> np.ndarray:
-            return self.solve_shifted(s.sigma, s.tau, b)
-
-        def weighted_sum(solutions: Iterator[np.ndarray]) -> np.ndarray:
-            acc = np.zeros_like(b)
+        acc = np.zeros_like(b)
+        solutions = _in_order(lambda s: self.solve_shifted(s.sigma, s.tau, b), systems, _worker_count())
+        with closing(solutions):
             for system in systems:
                 acc += system.scale * next(solutions)
-            return acc
-
-        workers = _worker_count()
-        if workers > 1 and len(systems) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return weighted_sum(_in_order(pool, solve, systems, workers))
-        return weighted_sum(map(solve, systems))
+        return acc
 
 
 class DiagonalOperator(OperatorHandle):
@@ -162,60 +156,38 @@ class DiagonalOperator(OperatorHandle):
         per system.
 
         The blocks of 2**16 entries are dealt to W = min(workers, blocks)
-        parts, ``starts[t::W]``; the calling thread runs one part and a pool
-        of W - 1 threads, built for the call, runs the others.  Workers are
-        FRACLAG_THREADS when that is set, else the usable cores.  Each
-        entry's sum is formed inside its block, in node order, so the bits
-        do not depend on W.  In each block a node is skipped when
+        parts, ``starts[t::W]``, which ``_in_order`` runs on W threads;
+        workers are FRACLAG_THREADS when that is set, else the usable cores.
+        Each entry's sum is formed inside its block, in node order, so the
+        bits do not depend on W.  In each block a node is skipped when
         ``_kept_nodes`` proves that its term cannot change a bit of the
-        block's sum.
-
-        On 10**6 entries over 10^[0, 16] at alpha 0.5, h 0.01, n=50, two
-        workers take a call from 103-135 to 68-82 ms in standard mode, from
-        84-100 to 52-63 ms in balanced mode and from 59-69 to 37-43 ms in
-        truncated mode (medians of 7 calls in each of 5 interleaved
-        processes on a 2-vCPU Xeon); FRACLAG_THREADS=1 times as before.
+        block's sum.  A skip needs a term 2**-55 of an earlier one, which in
+        the node systems of a scheme takes scales that span more than 2**55:
+        the standard and balanced schemes' span about 2**250, a truncated
+        scheme's usually less.  Keeping a node is always exact, so a call
+        whose scales span less keeps every node unchecked.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
         starts = range(0, b.size, _BLOCK)
-        workers = min(_worker_count(_usable_cores()), len(starts)) if len(starts) > 1 else 1
-        # numpy's error state is per thread: each part takes the caller's
-        errors = {**np.geterr(), "over": "ignore", "invalid": "ignore"}
-        on_error = np.geterrcall()
-
-        def part(t: int) -> None:
-            with np.errstate(call=on_error, **errors):
-                self._sum_blocks(systems, b, acc, starts[t::workers])
-
-        if workers > 1:
-            # leaving the block waits for every part, since each writes into acc
-            with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-                futures = [pool.submit(part, t) for t in range(1, workers)]
-                part(0)
-            for future in futures:
-                future.result()
-        else:
-            part(0)
+        workers = min(_worker_count(_usable_cores()), len(starts))
+        scales = [s.scale for s in systems]
+        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
+        parts = [starts[t::workers] for t in range(workers)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in _in_order(lambda part: self._sum_blocks(systems, b, acc, part, bounding), parts, workers):
+                pass
         # solve_shifted pins +inf entries to +0.0, so each term and the sum
         # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
         acc[self._infinite] = 0.0
         return acc
 
     def _sum_blocks(
-        self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range
+        self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range, bounding: bool
     ) -> None:
-        """Add the kept terms of every block starting at ``starts`` into acc.
-
-        A skip needs a term 2**-55 of an earlier one, which in the node
-        systems of a scheme takes scales that span more than 2**55: the
-        standard and balanced schemes' span about 2**250, a truncated
-        scheme's usually less.  Keeping a node is always exact, so a call
-        whose scales span less keeps every node unchecked.
-        """
+        """Add the terms of every block starting at ``starts`` into acc,
+        skipping those ``_kept_nodes`` rules out when ``bounding``."""
         scratch = np.empty(min(_BLOCK, b.size))
-        scales = [s.scale for s in systems]
-        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
         for lo in starts:
             if self._spans[lo // _BLOCK] is None:
                 continue  # every entry is +inf, pinned to zero by apply_sum
@@ -319,7 +291,11 @@ class DenseOperator(OperatorHandle):
 class CallbackOperator(OperatorHandle):
     """Operator backed by a user-supplied solver ``solve(sigma, tau, b)``.
 
-    Self-adjointness and positivity are taken on trust.
+    Self-adjointness and positivity are taken on trust.  ``b`` is passed
+    read-only, so a numpy write into it raises; compiled code that ignores
+    the flag, such as scipy.linalg's solvers with ``overwrite_b=True``, can
+    still overwrite it and so must be given a copy.  A solution of the
+    wrong shape, complex or not finite raises OperatorError.
     """
 
     def __init__(self, dimension: int, solve: Callable[[float, float, np.ndarray], np.ndarray]):
@@ -333,7 +309,10 @@ class CallbackOperator(OperatorHandle):
         return self._dim
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        y = np.asarray(self._solve(sigma, tau, b), dtype=float)
+        y = np.asarray(self._solve(sigma, tau, b))
+        if np.iscomplexobj(y):
+            raise OperatorError(f"callback returned a complex solution at sigma={sigma!r}, tau={tau!r}")
+        y = y.astype(float, copy=False)
         if y.shape != b.shape:
             raise OperatorError(
                 f"callback returned shape {y.shape}, expected {b.shape}"
@@ -343,20 +322,36 @@ class CallbackOperator(OperatorHandle):
         return y
 
 
-def _in_order(pool: ThreadPoolExecutor, solve, systems, window: int) -> Iterator[np.ndarray]:
-    """Solutions of ``systems`` in order, with at most ``window`` solves
-    submitted and not yet consumed; the next is submitted only when the
-    consumer asks for another solution."""
-    todo = iter(systems)
-    pending = deque(pool.submit(solve, s) for s in islice(todo, window))
-    try:
-        while pending:
-            yield pending.popleft().result()
-            for s in islice(todo, 1):
-                pending.append(pool.submit(solve, s))
-    finally:
-        for future in pending:
-            future.cancel()
+def _in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """``fn(item)`` for each of ``items``, in order.
+
+    With one worker or one item this is ``map``.  Otherwise the calls run on
+    a pool of ``workers`` threads built here, each under the caller's numpy
+    error state (which is per thread), with at most ``workers`` submitted
+    and not yet consumed: the next is submitted only when the consumer asks
+    for another result.  When the generator ends, raises or is closed, the
+    calls not yet started are cancelled and the pool is joined.
+    """
+    if workers == 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    errors, on_error = np.geterr(), np.geterrcall()
+
+    def task(item):
+        with np.errstate(call=on_error, **errors):
+            return fn(item)
+
+    todo = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(task, item) for item in islice(todo, workers))
+        try:
+            while pending:
+                yield pending.popleft().result()
+                for item in islice(todo, 1):
+                    pending.append(pool.submit(task, item))
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _worker_count(default: int = 1) -> int:
@@ -380,8 +375,11 @@ def _usable_cores() -> int:
 
 
 def _as_vector(b, dimension: int) -> np.ndarray:
-    """``b`` as a 1-D float64 array of length ``dimension``, else ValueError."""
-    vec = np.asarray(b, dtype=float)
+    """``b`` as a read-only 1-D float64 view of length ``dimension``, else
+    ValueError; a numpy write into a solver's right-hand side raises rather
+    than corrupt the sum and the caller's ``b``."""
+    vec = np.asarray(b, dtype=float).view()
+    vec.setflags(write=False)
     if vec.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {vec.shape}")
     if vec.size != dimension:

@@ -296,10 +296,30 @@ def test_callback_operator_refuses_non_finite_solution():
         apply_resolvent(CallbackOperator(3, solve), np.ones(3), Params(0.5, 1.0), 5)
 
 
-def test_callback_operator_rejects_bad_shape():
-    cb = CallbackOperator(3, lambda s, t, b: np.zeros(2))
-    with pytest.raises(OperatorError):
+@pytest.mark.parametrize(
+    "solution, message",
+    [(np.zeros(2), "shape"), (np.zeros(3, dtype=complex), "complex solution at sigma=.*tau=")],
+    ids=["shape", "complex"],
+)
+def test_callback_operator_rejects_bad_shape(solution, message):
+    # a cast to float would drop the imaginary part with only a warning
+    cb = CallbackOperator(3, lambda s, t, b: solution)
+    with pytest.raises(OperatorError, match=message):
         apply_resolvent(cb, np.ones(3), Params(0.5, 1.0), 5)
+
+
+def test_callback_cannot_write_into_its_right_hand_side():
+    # solving in place would divide the shared b once per node
+    d = np.array([1.0, 3.0, 9.0])
+
+    def solve(sigma, tau, rhs):
+        rhs /= sigma + tau * d
+        return rhs
+
+    b = np.ones(3)
+    with pytest.raises(ValueError, match="read-only"):
+        apply_resolvent(CallbackOperator(3, solve), b, Params(0.4, 0.1), 15)
+    assert np.array_equal(b, np.ones(3)) and b.flags.writeable
 
 
 def test_apply_resolvent_validates_inputs():
@@ -498,6 +518,22 @@ def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     before = threading.active_count()
     op.apply_sum(systems, b)
     assert threading.active_count() == before
+    # a solve that fails ends the per-solve pool: the solves after the
+    # window it was submitted in are never started
+    index = {(s.sigma, s.tau): j for j, s in enumerate(systems)}
+    assert len(index) == len(systems)
+    k, started = 7, []
+
+    def solve(sigma, tau, rhs):
+        started.append(index[sigma, tau])
+        if index[sigma, tau] == k:
+            raise ArithmeticError("solve k failed")
+        return op.solve_shifted(sigma, tau, rhs)
+
+    with pytest.raises(ArithmeticError, match="solve k failed"):
+        CallbackOperator(op.dimension, solve).apply_sum(systems, b)
+    assert threading.active_count() == before
+    assert k in started and max(started) <= k + 2
 
 
 def test_callback_may_call_the_threaded_kernel(monkeypatch):
@@ -520,15 +556,19 @@ def test_callback_may_call_the_threaded_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, threads):
-    # only the second block, which a worker thread runs when split, meets
-    # sigma + tau*d == 0
+@pytest.mark.parametrize("kind", ["diagonal", "callback"])
+def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, kind, threads):
+    # only the second block meets sigma + tau*d == 0, and only in the second
+    # system; with 2 threads both paths run it on a pool thread
     d = np.full(3 * _BLOCK, 4.0)
     d[_BLOCK + 5] = 1.0
     op = DiagonalOperator(d)
+    if kind == "callback":
+        op = CallbackOperator(d.size, op.solve_shifted)
     monkeypatch.setenv("FRACLAG_THREADS", threads)
+    systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(-1.0, 1.0, 1.0)]
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        op.apply_sum([ShiftedSystem(-1.0, 1.0, 1.0)], np.ones(d.size))
+        op.apply_sum(systems, np.ones(d.size))
 
 
 _SMALL_OPERATORS = {
