@@ -7,16 +7,13 @@ backend computes through ``OperatorHandle.apply_sum``.  The default sums
 sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
 runs that kernel in its eigenbasis.
 
-FRACLAG_THREADS sets the worker count of both paths, and both run through
-one ordered thread pool, ``_in_order``: the per-solve default hands it the
-systems and the diagonal kernel its strided parts of blocks.  Unset, the
-per-solve default runs serially, since each solve in flight holds a vector,
-and the diagonal kernel uses the usable cores, since a worker there holds
-one block of scratch.  The pool is built per call, runs every task under
-the caller's numpy error state and is joined before ``apply_sum`` returns;
-a pool kept across calls saved only the 0.2-0.3 ms it takes to start and
-join two threads.  A callback solve that calls the threaded kernel builds
-its own pool, so k threads nest to at most k*k kernel threads.
+The per-solve default runs serially, since each solve in flight holds a
+vector.  The diagonal kernel splits its blocks over the cores this process
+may use, so ``taskset`` and cpusets cap its threads: the calling thread runs
+one part and a pool built for the call runs the rest, each under the
+caller's numpy error state, and the pool is joined before ``apply_sum``
+returns.  A pool kept across calls saved only the 0.2-0.3 ms it takes to
+start and join two threads.
 
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
@@ -33,11 +30,9 @@ from __future__ import annotations
 import math
 import os
 from abc import ABC, abstractmethod
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
-from itertools import compress, islice
-from typing import Callable, Iterator, Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,8 +49,6 @@ __all__ = [
     "apply_resolvent",
     "scalar_approx",
 ]
-
-_THREAD_ENV = "FRACLAG_THREADS"
 
 # Entries per block of DiagonalOperator.apply_sum, which is also the unit its
 # workers share out.  The block's entries, right-hand side, scratch and
@@ -87,25 +80,26 @@ class OperatorHandle(ABC):
 
     @abstractmethod
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        """Solve (sigma*I + tau*L)y = b.  Must be safe to call concurrently."""
+        """Solve (sigma*I + tau*L)y = b."""
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         """Return sum_j scale_j * (sigma_j*I + tau_j*L)^{-1} b for a 1-D ``b``
         of length ``dimension``, added in node order.
 
-        This default calls ``solve_shifted`` once per system, through
-        ``_in_order`` on FRACLAG_THREADS threads (serially when unset), and
-        adds each solution as it arrives, so results are bit-reproducible
-        whatever the setting.  At most one solve per thread is in flight, so
-        memory does not grow with the number of systems.  ``b`` is taken as
-        a read-only float64 vector; anything else raises ValueError.
+        This default calls ``solve_shifted`` once per system, serially, and
+        adds each solution before the next solve starts, so memory does not
+        grow with the number of systems.  ``b`` is taken as a read-only
+        float64 vector; anything else raises ValueError.  A solution whose
+        shape is not ``b``'s raises OperatorError.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
-        solutions = _in_order(lambda s: self.solve_shifted(s.sigma, s.tau, b), systems, _worker_count())
-        with closing(solutions):
-            for system in systems:
-                acc += system.scale * next(solutions)
+        for s in systems:
+            y = self.solve_shifted(s.sigma, s.tau, b)
+            if y.shape != b.shape:
+                raise OperatorError(f"solve_shifted returned shape {y.shape}, expected {b.shape}")
+            acc += s.scale * y
+            del y  # frees this solution before the next one is allocated
         return acc
 
 
@@ -117,7 +111,8 @@ class DiagonalOperator(OperatorHandle):
     """
 
     def __init__(self, entries: Sequence[float]):
-        d = np.atleast_1d(np.asarray(entries, dtype=float))
+        # a copy: a later write by the caller would make _spans unsound
+        d = np.array(entries, dtype=float, ndmin=1)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("diagonal entries must form a nonempty 1-D sequence")
         if not (d >= 1.0).all():
@@ -155,28 +150,40 @@ class DiagonalOperator(OperatorHandle):
         block by block with one scratch block per worker and no allocation
         per system.
 
-        The blocks of 2**16 entries are dealt to W = min(workers, blocks)
-        parts, ``starts[t::W]``, which ``_in_order`` runs on W threads;
-        workers are FRACLAG_THREADS when that is set, else the usable cores.
-        Each entry's sum is formed inside its block, in node order, so the
-        bits do not depend on W.  In each block a node is skipped when
-        ``_kept_nodes`` proves that its term cannot change a bit of the
-        block's sum.  A skip needs a term 2**-55 of an earlier one, which in
-        the node systems of a scheme takes scales that span more than 2**55:
-        the standard and balanced schemes' span about 2**250, a truncated
-        scheme's usually less.  Keeping a node is always exact, so a call
-        whose scales span less keeps every node unchecked.
+        The blocks of 2**16 entries are dealt to W = min(usable cores,
+        blocks) parts, ``starts[t::W]``: the calling thread runs part 0 and a
+        pool of W-1 threads the rest.  Each entry's sum is formed inside its
+        block, in node order, so the bits do not depend on W.  In each block
+        a node is skipped when ``_kept_nodes`` proves that its term cannot
+        change a bit of the block's sum.  A skip needs a term 2**-55 of an
+        earlier one, which in the node systems of a scheme takes scales that
+        span more than 2**55: the standard and balanced schemes' span about
+        2**250, a truncated scheme's usually less.  Keeping a node is always
+        exact, so a call whose scales span less keeps every node unchecked.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
         starts = range(0, b.size, _BLOCK)
-        workers = min(_worker_count(_usable_cores()), len(starts))
+        workers = min(_usable_cores(), len(starts))
         scales = [s.scale for s in systems]
         bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
-        parts = [starts[t::workers] for t in range(workers)]
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _in_order(lambda part: self._sum_blocks(systems, b, acc, part, bounding), parts, workers):
-                pass
+            if workers == 1:
+                self._sum_blocks(systems, b, acc, starts, bounding)
+            else:
+                # numpy's error state is per thread: each pool part takes the caller's
+                errors, on_error = np.geterr(), np.geterrcall()
+
+                def part(t: int) -> None:
+                    with np.errstate(call=on_error, **errors):
+                        self._sum_blocks(systems, b, acc, starts[t::workers], bounding)
+
+                # leaving the block waits for every part, since each writes into acc
+                with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+                    futures = [pool.submit(part, t) for t in range(1, workers)]
+                    self._sum_blocks(systems, b, acc, starts[::workers], bounding)
+                for future in futures:
+                    future.result()
         # solve_shifted pins +inf entries to +0.0, so each term and the sum
         # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
         acc[self._infinite] = 0.0
@@ -294,8 +301,9 @@ class CallbackOperator(OperatorHandle):
     Self-adjointness and positivity are taken on trust.  ``b`` is passed
     read-only, so a numpy write into it raises; compiled code that ignores
     the flag, such as scipy.linalg's solvers with ``overwrite_b=True``, can
-    still overwrite it and so must be given a copy.  A solution of the
-    wrong shape, complex or not finite raises OperatorError.
+    still overwrite it and so must be given a copy.  A solution that shares
+    memory with ``b``, as such a solver returns, of the wrong shape,
+    complex or not finite raises OperatorError.
     """
 
     def __init__(self, dimension: int, solve: Callable[[float, float, np.ndarray], np.ndarray]):
@@ -310,6 +318,11 @@ class CallbackOperator(OperatorHandle):
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         y = np.asarray(self._solve(sigma, tau, b))
+        if np.may_share_memory(y, b):
+            raise OperatorError(
+                f"callback returned a solution that shares memory with b at sigma={sigma!r}, tau={tau!r};"
+                " pass the solver a copy of b"
+            )
         if np.iscomplexobj(y):
             raise OperatorError(f"callback returned a complex solution at sigma={sigma!r}, tau={tau!r}")
         y = y.astype(float, copy=False)
@@ -320,51 +333,6 @@ class CallbackOperator(OperatorHandle):
         if not np.isfinite(y).all():
             raise OperatorError(f"callback returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
         return y
-
-
-def _in_order(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """``fn(item)`` for each of ``items``, in order.
-
-    With one worker or one item this is ``map``.  Otherwise the calls run on
-    a pool of ``workers`` threads built here, each under the caller's numpy
-    error state (which is per thread), with at most ``workers`` submitted
-    and not yet consumed: the next is submitted only when the consumer asks
-    for another result.  When the generator ends, raises or is closed, the
-    calls not yet started are cancelled and the pool is joined.
-    """
-    if workers == 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    errors, on_error = np.geterr(), np.geterrcall()
-
-    def task(item):
-        with np.errstate(call=on_error, **errors):
-            return fn(item)
-
-    todo = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(task, item) for item in islice(todo, workers))
-        try:
-            while pending:
-                yield pending.popleft().result()
-                for item in islice(todo, 1):
-                    pending.append(pool.submit(task, item))
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-def _worker_count(default: int = 1) -> int:
-    """FRACLAG_THREADS as a worker count of at least 1; ``default`` when it
-    is unset, 1 when it is not an integer."""
-    raw = os.environ.get(_THREAD_ENV)
-    if raw is None:
-        return default
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 1
-    return workers if workers > 1 else 1
 
 
 def _usable_cores() -> int:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from fraclag import operators
 from fraclag.cli import main
 from fraclag.estimates import eps1, eps2, lambda_bar, standard_estimate
 from fraclag.integrands import Params, f1, f2
@@ -226,11 +227,9 @@ def test_criterion_9_deterministic_output(tmp_path, monkeypatch):
     """operator-error output is byte-identical across runs and thread counts."""
     args = ["operator-error", "--alpha", "0.5", "--h", "0.01", "--n-list", "10,20,30"]
     paths = []
-    for name, threads in (("a", None), ("b", None), ("c", "4"), ("d", "2")):
-        if threads is None:
-            monkeypatch.delenv("FRACLAG_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FRACLAG_THREADS", threads)
+    real_cores = operators._usable_cores
+    for name, cores in (("a", None), ("b", None), ("c", 4), ("d", 2)):
+        monkeypatch.setattr(operators, "_usable_cores", real_cores if cores is None else lambda cores=cores: cores)
         out = tmp_path / f"{name}.csv"
         assert main(args + ["--out", str(out)]) == 0
         paths.append(out)

@@ -306,9 +306,8 @@ def test_operator_error_runs_are_byte_identical(tmp_path, monkeypatch):
     args = ["operator-error", "--alpha", "0.3", "--h", "0.01", "--n-list", "5,15"]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
     assert main(args + ["--out", str(first)]) == 0
-    monkeypatch.setenv("FRACLAG_THREADS", "4")
+    monkeypatch.setattr(operators, "_usable_cores", lambda: 4)
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 

@@ -2,7 +2,7 @@
 of the diagonal kernel against the per-solve default sum."""
 
 import math
-import os
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from fraclag import operators  # noqa: E402
 from fraclag.estimates import standard_estimate  # noqa: E402
 from fraclag.integrands import Params, ShiftedSystem  # noqa: E402
 from fraclag.operators import _BLOCK, DiagonalOperator, OperatorHandle, apply_resolvent  # noqa: E402
@@ -87,7 +88,7 @@ def hand_made_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(
     d=spectra(),
-    threads=st.sampled_from([None, "1", "2", "3", "7"]),
+    cores=st.sampled_from([None, 1, 2, 3, 7]),
     seed=st.integers(0, 2**32 - 1),
     zero_frac=st.floats(0.0, 1.0),
     b_scale=st.floats(-300.0, 300.0),
@@ -98,16 +99,14 @@ def hand_made_systems(draw):
         hand_made_systems(),
     ),
 )
-def test_diagonal_apply_sum_is_the_default_sum(d, threads, seed, zero_frac, b_scale, specials, systems):
+def test_diagonal_apply_sum_is_the_default_sum(d, cores, seed, zero_frac, b_scale, specials, systems):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(d.size) * 10.0**b_scale
     b[rng.random(d.size) < zero_frac] = 0.0
     b[rng.integers(0, d.size, len(specials))] = specials
     diag = DiagonalOperator(d)
     want = OperatorHandle.apply_sum(diag, systems, b)
-    # @given cannot take monkeypatch; patch.dict restores the environment
-    with patch.dict(os.environ, {} if threads is None else {"FRACLAG_THREADS": threads}):
-        if threads is None:
-            os.environ.pop("FRACLAG_THREADS", None)
+    # @given cannot take monkeypatch; None keeps the real core count
+    with nullcontext() if cores is None else patch.object(operators, "_usable_cores", lambda: cores):
         got = diag.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -9,7 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fraclag import operators
 from fraclag.estimates import q_estimates, standard_estimate
 from fraclag.integrands import Params, ShiftedSystem, exact_scalar_resolvent, node_system
 from fraclag.laguerre import gauss_laguerre
@@ -19,6 +21,7 @@ from fraclag.operators import (
     DenseOperator,
     DiagonalOperator,
     OperatorError,
+    OperatorHandle,
     apply_resolvent,
     apply_scheme,
     scalar_approx,
@@ -112,6 +115,19 @@ def test_diagonal_operator_validation():
         DiagonalOperator(np.array([2.0, 0.5]))
     with pytest.raises(ValueError):
         DiagonalOperator(np.array([2.0, float("nan")]))
+
+
+def test_diagonal_operator_copies_its_entries():
+    # the skip bounds are taken from the entries at construction, so a
+    # later write by the caller must reach neither them nor the sums
+    d = np.logspace(0, 16, 1000)
+    op = DiagonalOperator(d)
+    b, p = np.ones(d.size), Params(0.5, 0.01)
+    want = apply_resolvent(op, b, p, 50)
+    assert d.flags.writeable
+    d[:] = 1.0
+    assert np.array_equal(op.entries, np.logspace(0, 16, 1000))
+    assert np.array_equal(apply_resolvent(op, b, p, 50), want)
 
 
 def test_diagonal_operator_accepts_infinite_modes():
@@ -265,10 +281,9 @@ def test_dense_apply_is_deterministic(monkeypatch):
     op = DenseOperator(mat)
     b = np.random.default_rng(2).standard_normal(50)
     p = Params(0.5, 0.01)
-    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
     first = apply_resolvent(op, b, p, 40).tobytes()
     again = apply_resolvent(op, b, p, 40).tobytes()
-    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    _set_cores(monkeypatch, 2)
     pooled = apply_resolvent(op, b, p, 40).tobytes()
     assert first == again == pooled
 
@@ -308,18 +323,47 @@ def test_callback_operator_rejects_bad_shape(solution, message):
         apply_resolvent(cb, np.ones(3), Params(0.5, 1.0), 5)
 
 
-def test_callback_cannot_write_into_its_right_hand_side():
+def _solve_in_place(sigma, tau, rhs):
+    rhs /= sigma + tau * np.array([1.0, 3.0, 9.0])
+    return rhs
+
+
+def _lu_solve_overwriting(sigma, tau, rhs):
+    # f2py ignores the read-only flag and solves into rhs itself
+    factors = scipy.linalg.lu_factor(np.diag(sigma + tau * np.array([1.0, 3.0, 9.0])))
+    return scipy.linalg.lu_solve(factors, rhs, overwrite_b=True)
+
+
+@pytest.mark.parametrize(
+    "solve, error, message",
+    [(_solve_in_place, ValueError, "read-only"), (_lu_solve_overwriting, OperatorError, "shares memory.*copy")],
+    ids=["numpy", "scipy"],
+)
+def test_callback_cannot_write_into_its_right_hand_side(solve, error, message):
     # solving in place would divide the shared b once per node
-    d = np.array([1.0, 3.0, 9.0])
-
-    def solve(sigma, tau, rhs):
-        rhs /= sigma + tau * d
-        return rhs
-
     b = np.ones(3)
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(error, match=message):
         apply_resolvent(CallbackOperator(3, solve), b, Params(0.4, 0.1), 15)
-    assert np.array_equal(b, np.ones(3)) and b.flags.writeable
+    assert b.flags.writeable
+    # numpy refuses the write; compiled code has written into b by the time
+    # its solution is refused
+    if solve is _solve_in_place:
+        assert np.array_equal(b, np.ones(3))
+
+
+class _OneEntrySolutions(OperatorHandle):
+    """A backend whose solutions have one entry whatever ``b`` is."""
+
+    dimension = 3
+
+    def solve_shifted(self, sigma, tau, b):
+        return b[:1] / (sigma + tau)
+
+
+def test_default_apply_sum_refuses_a_solution_of_the_wrong_shape():
+    # broadcasting would add the one entry into every entry of the sum
+    with pytest.raises(OperatorError, match=r"shape \(1,\), expected \(3,\)"):
+        apply_resolvent(_OneEntrySolutions(), [1.0, 5.0, 9.0], Params(0.5, 1.0), 5)
 
 
 def test_apply_resolvent_validates_inputs():
@@ -361,39 +405,6 @@ def test_apply_scheme_matches_apply_resolvent_bitwise(kind, mode):
             apply_scheme(op, b, built)
 
 
-def test_worker_pool_does_not_change_bits(monkeypatch):
-    p = Params(0.6, 0.01)
-    rng = np.random.default_rng(3)
-    d = 10.0 ** rng.uniform(0, 10, size=20)
-    b = rng.standard_normal(20)
-    # the diagonal's one block runs on the caller; the callback goes
-    # through the per-solve pool
-    for op in (DiagonalOperator(d), CallbackOperator(20, DiagonalOperator(d).solve_shifted)):
-        monkeypatch.delenv("FRACLAG_THREADS", raising=False)
-        seq = apply_resolvent(op, b, p, 35, "truncated")
-        monkeypatch.setenv("FRACLAG_THREADS", "4")
-        par = apply_resolvent(op, b, p, 35, "truncated")
-        assert np.array_equal(seq, par)
-
-
-def test_serial_apply_holds_one_solution_at_a_time(monkeypatch):
-    # 100 solves at n=50; a reduction that kept every solution would peak
-    # near 100 vectors.
-    monkeypatch.delenv("FRACLAG_THREADS", raising=False)
-    size = 10**5
-    op = DiagonalOperator(np.linspace(1.0, 1e6, size))
-    b = np.ones(size)
-    p = Params(0.5, 0.01)
-    apply_resolvent(op, b, p, 50)  # builds and caches the rule outside the trace
-    tracemalloc.start()
-    try:
-        apply_resolvent(op, b, p, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * b.nbytes
-
-
 def _peak_bytes(call):
     call()  # builds and caches the rules outside the trace
     tracemalloc.start()
@@ -404,31 +415,30 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_default_apply_sum_keeps_few_solutions_in_flight(monkeypatch, threads):
-    # 100 solves at n=50 through solve_shifted; a pool that submitted them
-    # all up front would hold finished solutions until the reduction got
-    # to them.
-    monkeypatch.setenv("FRACLAG_THREADS", threads)
+def test_default_apply_sum_keeps_few_solutions_in_flight():
+    # 100 solves at n=50 through solve_shifted; a reduction that kept every
+    # solution would peak near 100 vectors.  The sum, a solution and its
+    # scaled copy take 3; holding the last solution into the next solve
+    # takes 4.
     size = 10**5
     op = CallbackOperator(size, DiagonalOperator(np.linspace(1.0, 1e6, size)).solve_shifted)
     b = np.ones(size)
     peak = _peak_bytes(lambda: apply_resolvent(op, b, Params(0.5, 0.01), 50))
-    assert peak < 6 * b.nbytes
+    assert peak < 3.5 * b.nbytes
 
 
-def _set_threads(monkeypatch, threads):
-    if threads is None:
-        monkeypatch.delenv("FRACLAG_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("FRACLAG_THREADS", threads)
+def _set_cores(monkeypatch, cores):
+    """Make the diagonal kernel see ``cores`` usable cores; None keeps the
+    real count."""
+    if cores is not None:
+        monkeypatch.setattr(operators, "_usable_cores", lambda: cores)
 
 
-@pytest.mark.parametrize("threads", [None, "1", "2", "3"], ids=["unset", "1", "2", "3"])
-def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
+@pytest.mark.parametrize("cores", [None, 1, 2, 3], ids=["real", "1", "2", "3"])
+def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, cores):
     # the fused sum allocates the accumulator and one block of scratch per
     # worker; the prefactor product may take one more vector
-    _set_threads(monkeypatch, threads)
+    _set_cores(monkeypatch, cores)
     size = 10**5
     op = DiagonalOperator(np.linspace(1.0, 1e6, size))
     b = np.ones(size)
@@ -436,10 +446,10 @@ def test_diagonal_apply_allocates_no_vector_per_solve(monkeypatch, threads):
     assert peak < 3 * b.nbytes
 
 
-@pytest.mark.parametrize("threads", [None, "1", "2", "3", "7"], ids=["unset", "1", "2", "3", "7"])
+@pytest.mark.parametrize("cores", [None, 1, 2, 3, 7], ids=["real", "1", "2", "3", "7"])
 @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 5 * _BLOCK + 7])
 @pytest.mark.parametrize("mode", MODES + ("far-tail",))
-def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, threads):
+def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, cores):
     rng = np.random.default_rng(size)
     d = 10.0 ** rng.uniform(0, 16, size)
     d[[0, size // 3, -1]] = np.inf  # +inf entries in the first, a middle and the last block
@@ -455,9 +465,8 @@ def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, thr
     else:
         systems = list(scheme(30, p, mode).systems) + [tail]
     diag = DiagonalOperator(d)
-    _set_threads(monkeypatch, "1")
     want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
-    _set_threads(monkeypatch, threads)
+    _set_cores(monkeypatch, cores)
     got = diag.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got[0] == 0.0 and got[-1] == 0.0
@@ -477,7 +486,7 @@ def _apply_in_child(op, systems, b, conn):
 
 def test_forked_child_gets_the_parents_bits(monkeypatch):
     # the child inherits none of the parent's threads
-    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    _set_cores(monkeypatch, 2)
     op, b, systems = _three_blocks()
     want = op.apply_sum(systems, b).tobytes()  # runs threads here first
     ctx = multiprocessing.get_context("fork")
@@ -497,9 +506,9 @@ def test_forked_child_gets_the_parents_bits(monkeypatch):
 
 def test_concurrent_callers_get_the_serial_bits(monkeypatch):
     op, b, systems = _three_blocks()
-    monkeypatch.setenv("FRACLAG_THREADS", "1")
+    _set_cores(monkeypatch, 1)
     want = op.apply_sum(systems, b)
-    monkeypatch.setenv("FRACLAG_THREADS", "3")
+    _set_cores(monkeypatch, 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -514,12 +523,25 @@ def test_concurrent_callers_get_the_serial_bits(monkeypatch):
 
 def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     op, b, systems = _three_blocks()
-    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    _set_cores(monkeypatch, 2)
     before = threading.active_count()
     op.apply_sum(systems, b)
     assert threading.active_count() == before
-    # a solve that fails ends the per-solve pool: the solves after the
-    # window it was submitted in are never started
+    # a kernel part that fails on a pool thread reaches the caller after
+    # the pool is joined
+    sum_blocks = DiagonalOperator._sum_blocks
+
+    def failing(self, systems, b, acc, starts, bounding):
+        if starts[0] != 0:
+            raise ArithmeticError("pool part failed")
+        sum_blocks(self, systems, b, acc, starts, bounding)
+
+    monkeypatch.setattr(DiagonalOperator, "_sum_blocks", failing)
+    with pytest.raises(ArithmeticError, match="pool part failed"):
+        op.apply_sum(systems, b)
+    assert threading.active_count() == before
+    monkeypatch.setattr(DiagonalOperator, "_sum_blocks", sum_blocks)
+    # a solve that fails ends the serial per-solve sum: no later solve starts
     index = {(s.sigma, s.tau): j for j, s in enumerate(systems)}
     assert len(index) == len(systems)
     k, started = 7, []
@@ -533,20 +555,20 @@ def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     with pytest.raises(ArithmeticError, match="solve k failed"):
         CallbackOperator(op.dimension, solve).apply_sum(systems, b)
     assert threading.active_count() == before
-    assert k in started and max(started) <= k + 2
+    assert started == list(range(k + 1))
 
 
 def test_callback_may_call_the_threaded_kernel(monkeypatch):
-    # per-solve pool threads that each wait on the kernel pool
+    # serial solves that each run the kernel's pool
     inner, b, systems = _three_blocks()
 
     def solve(sigma, tau, rhs):
         return inner.apply_sum([ShiftedSystem(sigma, tau, 1.0)], rhs)
 
     op = CallbackOperator(inner.dimension, solve)
-    monkeypatch.setenv("FRACLAG_THREADS", "1")
+    _set_cores(monkeypatch, 1)
     want = op.apply_sum(systems, b)
-    monkeypatch.setenv("FRACLAG_THREADS", "2")
+    _set_cores(monkeypatch, 2)
     results = []
     caller = threading.Thread(target=lambda: results.append(op.apply_sum(systems, b)), daemon=True)
     caller.start()
@@ -555,17 +577,18 @@ def test_callback_may_call_the_threaded_kernel(monkeypatch):
     assert np.array_equal(results[0].view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("kind", ["diagonal", "callback"])
-def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, kind, threads):
+def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, kind, cores):
     # only the second block meets sigma + tau*d == 0, and only in the second
-    # system; with 2 threads both paths run it on a pool thread
+    # system; with 2 cores the diagonal kernel runs that block on a pool
+    # thread
     d = np.full(3 * _BLOCK, 4.0)
     d[_BLOCK + 5] = 1.0
     op = DiagonalOperator(d)
     if kind == "callback":
         op = CallbackOperator(d.size, op.solve_shifted)
-    monkeypatch.setenv("FRACLAG_THREADS", threads)
+    _set_cores(monkeypatch, cores)
     systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(-1.0, 1.0, 1.0)]
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
         op.apply_sum(systems, np.ones(d.size))
@@ -641,13 +664,6 @@ def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
     assert all(all(op._kept_nodes(spread, b, scratch, lo)) for lo in starts)
-
-
-def test_worker_pool_ignores_invalid_setting(monkeypatch):
-    monkeypatch.setenv("FRACLAG_THREADS", "not-a-number")
-    p = Params(0.5, 1.0)
-    got = scalar_approx(2.0, p, 8)
-    assert math.isfinite(got)
 
 
 @pytest.mark.parametrize("mode", ["balanced", "truncated"])
