@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -364,6 +365,40 @@ def test_default_apply_sum_refuses_a_solution_of_the_wrong_shape():
     # broadcasting would add the one entry into every entry of the sum
     with pytest.raises(OperatorError, match=r"shape \(1,\), expected \(3,\)"):
         apply_resolvent(_OneEntrySolutions(), [1.0, 5.0, 9.0], Params(0.5, 1.0), 5)
+
+
+class _TrackedSolutions(OperatorHandle):
+    """A diagonal backend that records, at each solve, how many of its
+    earlier solutions are still alive."""
+
+    def __init__(self, d):
+        self._d = np.asarray(d, dtype=float)
+        self.solutions: list[weakref.ref] = []
+        self.alive_at_solve: list[int] = []
+
+    @property
+    def dimension(self):
+        return self._d.size
+
+    def solve_shifted(self, sigma, tau, b):
+        self.alive_at_solve.append(sum(r() is not None for r in self.solutions))
+        with np.errstate(over="ignore", invalid="ignore"):  # as DiagonalOperator
+            y = b / (sigma + tau * self._d)
+        self.solutions.append(weakref.ref(y))
+        return y
+
+
+def test_serial_apply_holds_one_solution_at_a_time():
+    # the default apply_sum frees each solution before the next solve, and
+    # keeps none once it returns
+    op = _TrackedSolutions(np.logspace(0, 6, 50))
+    p = Params(0.5, 0.01)
+    got = apply_resolvent(op, np.ones(50), p, 30)
+    assert len(op.alive_at_solve) == len(scheme(30, p, "standard").systems)
+    assert op.alive_at_solve == [0] * len(op.alive_at_solve)
+    assert all(r() is None for r in op.solutions)
+    want = apply_resolvent(DiagonalOperator(op._d), np.ones(50), p, 30)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_apply_resolvent_validates_inputs():
