@@ -8,12 +8,14 @@ sum into one pass over cache-sized blocks of its entries, and ``DenseOperator``
 runs that kernel in its eigenbasis.
 
 The per-solve default runs serially, since each solve in flight holds a
-vector.  The diagonal kernel splits its blocks over the cores this process
-may use, so ``taskset`` and cpusets cap its threads: the calling thread runs
-one part and a pool built for the call runs the rest, each under the
-caller's numpy error state, and the pool is joined before ``apply_sum``
-returns.  A pool kept across calls saved only the 0.2-0.3 ms it takes to
-start and join two threads.
+vector.  It holds the sum, one solution and one block of scaled terms, and
+``DiagonalOperator.solve_shifted`` allocates only the vector it returns.
+The diagonal kernel splits its blocks over the cores this process may use,
+so ``taskset`` and cpusets cap its threads: the calling thread runs one part
+and a pool built for the call runs the rest, each under the caller's numpy
+error state, and the pool is joined before ``apply_sum`` returns.  A pool
+kept across calls saved only the 0.2-0.3 ms it takes to start and join two
+threads.
 
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
@@ -51,13 +53,15 @@ __all__ = [
 ]
 
 # Entries per block of DiagonalOperator.apply_sum, which is also the unit its
-# workers share out.  The block's entries, right-hand side, scratch and
-# accumulator take 4 x 512 KiB per worker.  Serially 2**14, 2**15 and 2**16
-# time within noise at 10**6 entries on a 2-vCPU Xeon.  Split over two
-# threads, a 2**14 block's ufunc passes last only 5-13 us, so handing the
-# interpreter lock between the threads ate the gain; with 2**16 blocks the
-# mean call over the three modes fell from 82-101 to 53-63 ms, against
-# 62-77 ms with 2**15 (5 interleaved process triples, median of 7 calls).
+# workers share out, and per chunk of the default apply_sum's reduction, whose
+# one temporary is a block of scaled terms.  The kernel block's entries,
+# right-hand side, scratch and accumulator take 4 x 512 KiB per worker.
+# Serially 2**14, 2**15 and 2**16 time within noise at 10**6 entries on a
+# 2-vCPU Xeon.  Split over two threads, a 2**14 block's ufunc passes last
+# only 5-13 us, so handing the interpreter lock between the threads ate the
+# gain; with 2**16 blocks the mean call over the three modes fell from
+# 82-101 to 53-63 ms, against 62-77 ms with 2**15 (5 interleaved process
+# triples, median of 7 calls).
 _BLOCK = 1 << 16
 
 # A term below 2**-55 times every accumulator entry it meets is under a
@@ -87,18 +91,23 @@ class OperatorHandle(ABC):
         of length ``dimension``, added in node order.
 
         This default calls ``solve_shifted`` once per system, serially, and
-        adds each solution before the next solve starts, so memory does not
-        grow with the number of systems.  ``b`` is taken as a read-only
+        adds each solution before the next solve starts, a block at a time,
+        so it holds the sum, one solution and one block of scaled terms
+        however many systems there are.  ``b`` is taken as a read-only
         float64 vector; anything else raises ValueError.  A solution whose
         shape is not ``b``'s raises OperatorError.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
+        blocks = [(slice(lo, lo + _BLOCK), acc[lo : lo + _BLOCK]) for lo in range(0, b.size, _BLOCK)]
         for s in systems:
             y = self.solve_shifted(s.sigma, s.tau, b)
             if y.shape != b.shape:
                 raise OperatorError(f"solve_shifted returned shape {y.shape}, expected {b.shape}")
-            acc += s.scale * y
+            # acc += s.scale * y, a block at a time so the scaled term is
+            # never a whole vector
+            for part, out in blocks:
+                np.add(out, s.scale * y[part], out=out)
             del y  # frees this solution before the next one is allocated
         return acc
 
@@ -137,10 +146,14 @@ class DiagonalOperator(OperatorHandle):
         return self._d
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        # tau can underflow to 0 for far-tail nodes; 0 * inf would poison the
-        # +inf entries, so those are pinned to the 0 limit explicitly.
+        b = _as_vector(b, self.dimension)
+        # b / (sigma + tau*d), computed in the one vector it returns.  tau can
+        # underflow to 0 for far-tail nodes; 0 * inf would poison the +inf
+        # entries, so those are pinned to the 0 limit explicitly.
         with np.errstate(over="ignore", invalid="ignore"):
-            out = b / (sigma + tau * self._d)
+            out = np.multiply(tau, self._d)
+            np.add(sigma, out, out=out)
+            np.divide(b, out, out=out)
         if self._infinite.size:
             out[self._infinite] = 0.0
         return out
@@ -288,6 +301,7 @@ class DenseOperator(OperatorHandle):
         return self._diag.dimension
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
+        b = _as_vector(b, self.dimension)
         return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
