@@ -37,12 +37,16 @@ def format_scalar(value) -> str:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Dense matrix from comma-separated rows, no header."""
+    """Dense matrix from comma-separated rows, no header; ``#`` starts a
+    comment."""
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # loadtxt warns on a file without rows, then returns a (0, 1) array
+        if any(line.split("#", 1)[0].strip() for line in lines):
+            return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot parse matrix CSV: {exc}") from exc
-    return data
+    raise ValueError(f"{path}: no values found")
 
 
 def _scalar_tokens(path) -> list[float]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line entry point."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ def test_apply_reports_bad_operator(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_apply_reports_empty_matrix_file(tmp_path, capsys):
+    mat = tmp_path / "empty.txt"
+    mat.write_text("")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's loadtxt warned on no data
+        code = main([
+            "apply", "--alpha", "0.5", "--h", "1.0", "--n", "10",
+            "--matrix-file", str(mat), "--vector-file", str(rhs), "--out", str(tmp_path / "y.txt"),
+        ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {mat}: no values found\n"
 
 
 def test_apply_reports_missing_file(tmp_path, capsys):

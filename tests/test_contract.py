@@ -68,19 +68,23 @@ _SPECIAL_B = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
 
 @st.composite
 def hand_made_systems(draw):
-    """Nonnegative systems with scales down to 1e-60, then one more with a
-    negative scale, or with tau == 0 (0*inf at +inf entries)."""
+    """Nonnegative systems with scales down to 1e-60, about half of them with
+    sigma == 1 and tau down to 0, so that 1 + tau*d rounds to 1 over whole
+    blocks, then one more with a negative scale, or with tau == 0 (0*inf at
+    +inf entries)."""
     def system(sigma, tau):
         return ShiftedSystem(sigma, tau, 10.0 ** draw(st.floats(-60.0, 1.0)))
 
-    def sigma():
-        return 10.0 ** draw(st.floats(-3.0, 3.0))
+    def shift():
+        if draw(st.booleans()):
+            return 1.0, 10.0 ** draw(st.floats(-330.0, 3.0))  # 0.0 below -324
+        return 10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 1e3))
 
-    systems = [system(sigma(), draw(st.floats(0.0, 1e3))) for _ in range(draw(st.integers(1, 8)))]
+    systems = [system(*shift()) for _ in range(draw(st.integers(1, 8)))]
     if draw(st.booleans()):
-        extra = ShiftedSystem(sigma(), draw(st.floats(0.0, 1e3)), -draw(st.floats(0.0, 10.0)))
+        extra = ShiftedSystem(*shift(), -draw(st.floats(0.0, 10.0)))
     else:
-        extra = system(sigma(), 0.0)
+        extra = system(shift()[0], 0.0)
     systems.insert(draw(st.integers(0, len(systems))), extra)
     return systems
 

@@ -1,6 +1,7 @@
 """Tests for the file formats used by the command-line layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ def test_read_rejects_empty_file(tmp_path):
         read_diagonal(path)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# no rows\n"], ids=["empty", "blank", "comment"])
+def test_read_matrix_rejects_a_file_without_values(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no values found"):
+            read_matrix(path)
+
+
+def test_read_matrix_skips_comments(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# a 1x2 matrix\n2.0,1.0  # first row\n")
+    np.testing.assert_array_equal(read_matrix(path), [[2.0, 1.0]])
+
+
 def test_read_matrix(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("2.0,1.0\n1.0,3.0\n")
@@ -97,6 +114,9 @@ def test_read_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,x\n")
     with pytest.raises(ValueError):
+        read_matrix(path)
+    path.write_bytes(b"1.0\xff\n")
+    with pytest.raises(ValueError, match="m.csv: cannot parse matrix CSV"):
         read_matrix(path)
 
 

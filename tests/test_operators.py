@@ -324,6 +324,26 @@ def test_callback_operator_rejects_bad_shape(solution, message):
         apply_resolvent(cb, np.ones(3), Params(0.5, 1.0), 5)
 
 
+@pytest.mark.parametrize(
+    "solution",
+    [np.array(["1", "2", "3"]), [object()] * 3, "x", np.array([b"1", b"2", b"3"])],
+    ids=["str", "object", "scalar-str", "bytes"],
+)
+def test_callback_operator_refuses_non_numeric_solution(solution):
+    # a cast to float would parse the strings, or raise TypeError/ValueError
+    cb = CallbackOperator(3, lambda s, t, b: solution)
+    dtype = np.asarray(solution).dtype
+    with pytest.raises(OperatorError, match=rf"dtype {dtype} at sigma=.*, tau="):
+        apply_resolvent(cb, np.ones(3), Params(0.5, 1.0), 5)
+
+
+@pytest.mark.parametrize("solution", [np.ones(3, dtype=bool), np.arange(3), np.ones(3, dtype=np.float32)])
+def test_callback_operator_accepts_numeric_solutions(solution):
+    cb = CallbackOperator(3, lambda s, t, b: solution.copy())
+    got = cb.solve_shifted(1.0, 1.0, np.ones(3))
+    assert got.dtype == np.float64 and np.array_equal(got, solution)
+
+
 def _solve_in_place(sigma, tau, rhs):
     rhs /= sigma + tau * np.array([1.0, 3.0, 9.0])
     return rhs
@@ -514,7 +534,8 @@ def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, cor
     rng = np.random.default_rng(size)
     d = 10.0 ** rng.uniform(0, 16, size)
     d[[0, size // 3, -1]] = np.inf  # +inf entries in the first, a middle and the last block
-    d[3 * _BLOCK : 4 * _BLOCK] = np.inf  # the fourth of six blocks is all +inf
+    block = DiagonalOperator(np.ones(size))._block  # the kernel's grid depends on the size only
+    d[3 * block : 4 * block] = np.inf  # the fourth of six blocks is all +inf
     b = rng.standard_normal(size)
     b[size // 2] = -0.0
     p = Params(0.4, 0.01)
@@ -526,11 +547,58 @@ def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, cor
     else:
         systems = list(scheme(30, p, mode).systems) + [tail]
     diag = DiagonalOperator(d)
+    if size == 5 * _BLOCK + 7:
+        assert len(diag._spans) == 6 and diag._spans[3] is None
     want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
     _set_cores(monkeypatch, cores)
     got = diag.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert got[0] == 0.0 and got[-1] == 0.0
+
+
+@pytest.mark.parametrize("size, block", [(1, 1), (_BLOCK, _BLOCK), (_BLOCK + 1, _BLOCK // 2 + 1), (10**6, 62500)])
+def test_diagonal_blocks_share_the_entries_equally(size, block):
+    # 10**6 entries: 16 blocks of 62500, not 15 of 2**16 and a runt of 16960
+    op = DiagonalOperator(np.ones(size))
+    assert op._block == block
+    assert len(op._spans) == -(-size // _BLOCK) == -(-size // block)
+
+
+# tau*2**1000 is exactly 2**-53, and 1 + 2**-53 rounds to even, to 1
+_TIE = 2.0**-53 / 2.0**1000
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("tau", [_TIE, np.nextafter(_TIE, 1.0), 0.0], ids=["tie", "above", "zero"])
+def test_diagonal_identity_nodes_match_the_default_bitwise(monkeypatch, tau, cores):
+    # every block's greatest finite entry is 2**1000: at the tie and at
+    # tau == 0 the kernel takes scale*b as the node's term, one ulp of tau
+    # above the tie it solves
+    size = 2 * _BLOCK + 3
+    rng = np.random.default_rng(9)
+    d = 2.0 ** rng.uniform(0.0, 1000.0, size)
+    d[::1000] = 2.0**1000
+    d[5::7919] = np.inf
+    b = rng.standard_normal(size)
+    b[[1, 2, 3]] = -0.0, 5e-324, -2.5e-310
+    op = DiagonalOperator(d)
+    assert all(span[1] == 2.0**1000 for span in op._spans)
+    systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, tau, 0.5), ShiftedSystem(1.0, tau, 3.0)]
+    want = OperatorHandle.apply_sum(op, systems, b)
+    _set_cores(monkeypatch, cores)
+    got = op.apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(got[5::7919] == 0.0)
+    # an identity node raises no flag from the passes it skips: tau*d
+    # underflows, inexactly, at entries below 2**31 when it is computed
+    identity = [ShiftedSystem(1.0, tau, 1.0)]
+    with np.errstate(under="raise"):
+        if tau == _TIE or tau == 0.0:
+            got = op.apply_sum(identity, np.ones(size))
+            assert np.all(got[np.isfinite(d)] == 1.0)
+        else:
+            with pytest.raises(FloatingPointError):
+                op.apply_sum(identity, np.ones(size))
 
 
 def _three_blocks():
@@ -694,12 +762,15 @@ def test_diagonal_skips_most_tail_terms_at_the_paper_point():
 
 
 def test_diagonal_skip_needs_nonnegative_systems():
-    d = np.full(_BLOCK + 1, np.inf)
-    d[:_BLOCK] = np.logspace(0, 16, _BLOCK)  # the second block is all +inf
+    size = _BLOCK + 1
+    block = DiagonalOperator(np.ones(size))._block
+    d = np.full(size, np.inf)
+    d[:block] = np.logspace(0, 16, block)  # the second block is all +inf
     op = DiagonalOperator(d)
+    assert op._spans[1] is None
     b, scratch = np.ones(d.size), np.empty(_BLOCK)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    first, second = (op._kept_nodes([big, tiny], b, scratch, lo) for lo in (0, _BLOCK))
+    first, second = (op._kept_nodes([big, tiny], b, scratch, lo) for lo in (0, block))
     assert first == [True, False] and second == [False, False]
     # a term of the other sign may shrink |acc|: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
