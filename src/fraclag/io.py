@@ -50,7 +50,10 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _scalar_tokens(path) -> list[float]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     values = []
     for token in text.split():
         try:

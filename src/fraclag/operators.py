@@ -9,34 +9,31 @@ sum into one pass over equal cache-sized blocks of its entries, and
 
 The per-solve default runs serially, since each solve in flight holds a
 vector.  It holds the sum, one solution and one block of scaled terms, and
+checks every solution before adding it (``_solution``);
 ``DiagonalOperator.solve_shifted`` allocates only the vector it returns.
 The diagonal kernel splits its blocks over the cores this process may use,
 so ``taskset`` and cpusets cap its threads: the calling thread runs one part
 and a pool built for the call runs the rest, each under the caller's numpy
-error state, and the pool is joined before ``apply_sum`` returns.  A pool
-kept across calls saved only the 0.2-0.3 ms it takes to start and join two
-threads.  The blocks are all of one size, so parts of equally many blocks
-get equal work: 10**6 entries make 16 blocks of 62500, where blocks of
-2**16 made 15 and a runt, and one of two parts held a whole block more.
+error state, and the pool is joined before ``apply_sum`` returns.  The pool
+starts a thread only for a part it is given, so a diagonal of one block
+starts none.  The blocks are all of one size, so parts of equally many
+blocks get equal work.
 
 The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
 than half an ulp of the running sum.  The diagonal kernel skips such a node
 for a whole block when a float bound proves that its term cannot change a
 bit of any entry there (``DiagonalOperator._kept_nodes``): the result stays
-bit for bit the default sum.  On 10**6 entries spread over 10^[0, 16] at
-alpha 0.5, h 0.01, n=50 it skips 45% of the (block, node) passes in
-standard mode and 35% in balanced mode; the truncated scheme has no such
-node, and a cheap test on its scales spares it the bounds.
+bit for bit the default sum.  The truncated scheme has no such node, and a
+cheap test on its scales spares it the bounds.
 
 The first integral's nodes solve (I + tau*L)y = b with tau falling like
 exp(-x/alpha), so at its tail nodes 1 + tau*d rounds to exactly 1 over the
 low decades of the spectrum.  Where that holds for a block's greatest finite
 entry it holds for all of them, and the kernel adds scale*b, the term's
-exact value, without the three passes that would recompute b; on the same
-diagonal that is 14.7% of the kept (block, node) passes in standard mode,
-18.7% in balanced mode and none in truncated mode.  Like a skipped node, an
-identity node raises no floating-point flag from the passes it leaves out,
-such as the underflow of a subnormal tau*d.
+exact value, without the three passes that would recompute b.  Like a
+skipped node, an identity node raises no floating-point flag from the passes
+it leaves out, such as the underflow of a subnormal tau*d.  The README gives
+the kernel's measured timings and the share of passes it skips.
 """
 
 from __future__ import annotations
@@ -69,13 +66,8 @@ __all__ = [
 # workers share out, and the entries per chunk of the default apply_sum's
 # reduction, whose one temporary is a block of scaled terms.  The kernel
 # block's entries, right-hand side, scratch and accumulator take at most
-# 4 x 512 KiB per worker.
-# Serially 2**14, 2**15 and 2**16 time within noise at 10**6 entries on a
-# 2-vCPU Xeon.  Split over two threads, a 2**14 block's ufunc passes last
-# only 5-13 us, so handing the interpreter lock between the threads ate the
-# gain; with 2**16 blocks the mean call over the three modes fell from
-# 82-101 to 53-63 ms, against 62-77 ms with 2**15 (5 interleaved process
-# triples, median of 7 calls).
+# 4 x 512 KiB per worker.  Smaller blocks make passes so short that handing
+# the interpreter lock between the threads eats the gain of splitting them.
 _BLOCK = 1 << 16
 
 # A term below 2**-55 times every accumulator entry it meets is under a
@@ -112,16 +104,15 @@ class OperatorHandle(ABC):
         adds each solution before the next solve starts, a block at a time,
         so it holds the sum, one solution and one block of scaled terms
         however many systems there are.  ``b`` is taken as a read-only
-        float64 vector; anything else raises ValueError.  A solution whose
-        shape is not ``b``'s raises OperatorError.
+        float64 vector; anything else raises ValueError.  Each solution goes
+        through ``_solution``, so one that shares memory with ``b``, is not
+        real and numeric or is not of ``b``'s shape raises OperatorError.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
         blocks = [(slice(lo, lo + _BLOCK), acc[lo : lo + _BLOCK]) for lo in range(0, b.size, _BLOCK)]
         for s in systems:
-            y = self.solve_shifted(s.sigma, s.tau, b)
-            if y.shape != b.shape:
-                raise OperatorError(f"solve_shifted returned shape {y.shape}, expected {b.shape}")
+            y = _solution(self.solve_shifted(s.sigma, s.tau, b), b, s.sigma, s.tau)
             # acc += s.scale * y, a block at a time so the scaled term is
             # never a whole vector
             for part, out in blocks:
@@ -171,10 +162,9 @@ class DiagonalOperator(OperatorHandle):
         # b / (sigma + tau*d), computed in the one vector it returns.  tau can
         # underflow to 0 for far-tail nodes; 0 * inf would poison the +inf
         # entries, so those are pinned to the 0 limit explicitly.
+        out = np.empty_like(self._d)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.multiply(tau, self._d)
-            np.add(sigma, out, out=out)
-            np.divide(b, out, out=out)
+            _solve_into(sigma, tau, self._d, b, out)
         if self._infinite.size:
             out[self._infinite] = 0.0
         return out
@@ -187,19 +177,18 @@ class DiagonalOperator(OperatorHandle):
         The entries are cut into the fewest blocks of at most 2**16, all of
         one size but a last one that may be shorter, and the blocks are
         dealt to W = min(usable cores, blocks) parts, ``starts[t::W]``: the
-        calling thread runs part 0 and a pool of W-1 threads the rest.  Each
-        entry's sum is formed inside its block, in node order, so the bits
-        do not depend on W or on the block size.  In each block a node is
-        skipped when ``_kept_nodes`` proves that its term cannot change a
-        bit of the block's sum.  A skip needs a term 2**-55 of an earlier
-        one, which in the node systems of a scheme takes scales that span
-        more than 2**55: the standard and balanced schemes' span about
-        2**250, a truncated scheme's usually less.  Keeping a node is always
-        exact, so a call whose scales span less keeps every node unchecked.
-        A kept node with sigma == 1 whose tau times the block's greatest
-        finite entry is in [0, 2**-53] adds scale*b: rounding is monotone,
-        so 1 + tau*d rounds to 1 at every finite entry of the block, and
-        b/1 is b.  Neither a skipped nor such an identity node raises a
+        calling thread runs part 0 and a pool the rest, which starts no
+        thread when W is 1.  Each entry's sum is formed inside its block, in
+        node order, so the bits do not depend on W or on the block size.  In
+        each block a node is skipped when ``_kept_nodes`` proves that its
+        term cannot change a bit of the block's sum.  A skip needs a term
+        2**-55 of an earlier one, which in the node systems of a scheme takes
+        scales that span more than 2**55.  Keeping a node is always exact,
+        so a call whose scales span less keeps every node unchecked.  A kept
+        node with sigma == 1 whose tau times the block's greatest finite
+        entry is in [0, 2**-53] adds scale*b: rounding is monotone, so
+        1 + tau*d rounds to 1 at every finite entry of the block, and b/1 is
+        b.  Neither a skipped nor such an identity node raises a
         floating-point flag from the passes it leaves out.
         """
         b = _as_vector(b, self.dimension)
@@ -209,22 +198,19 @@ class DiagonalOperator(OperatorHandle):
         scales = [s.scale for s in systems]
         bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            if workers == 1:
-                self._sum_blocks(systems, b, acc, starts, bounding)
-            else:
-                # numpy's error state is per thread: each pool part takes the caller's
-                errors, on_error = np.geterr(), np.geterrcall()
+            # numpy's error state is per thread: each part takes the caller's
+            errors, on_error = np.geterr(), np.geterrcall()
 
-                def part(t: int) -> None:
-                    with np.errstate(call=on_error, **errors):
-                        self._sum_blocks(systems, b, acc, starts[t::workers], bounding)
+            def part(t: int) -> None:
+                with np.errstate(call=on_error, **errors):
+                    self._sum_blocks(systems, b, acc, starts[t::workers], bounding)
 
-                # leaving the block waits for every part, since each writes into acc
-                with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-                    futures = [pool.submit(part, t) for t in range(1, workers)]
-                    self._sum_blocks(systems, b, acc, starts[::workers], bounding)
-                for future in futures:
-                    future.result()
+            # leaving the block waits for every part, since each writes into acc
+            with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+                futures = [pool.submit(part, t) for t in range(1, workers)]
+                part(0)
+            for future in futures:
+                future.result()
         # solve_shifted pins +inf entries to +0.0, so each term and the sum
         # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
         acc[self._infinite] = 0.0
@@ -240,33 +226,33 @@ class DiagonalOperator(OperatorHandle):
             span = self._spans[lo // self._block]
             if span is None:
                 continue  # every entry is +inf, pinned to zero by apply_sum
-            # _kept_nodes writes |b| of the block into scratch before the
-            # block's solves reuse it
-            kept = compress(systems, self._kept_nodes(systems, b, scratch, lo)) if bounding else systems
-            hi = min(lo + self._block, b.size)
-            d, rhs, out, y = self._d[lo:hi], b[lo:hi], acc[lo:hi], scratch[: hi - lo]
+            hi = lo + self._block
+            d, rhs, out = self._d[lo:hi], b[lo:hi], acc[lo:hi]
+            y = scratch[: rhs.size]
+            # _kept_nodes writes |b| of the block into y before the block's
+            # solves reuse it
+            kept = compress(systems, self._kept_nodes(systems, rhs, span, y)) if bounding else systems
             d_max = span[1]
-            # The same operations, in the same order, as solve_shifted
-            # followed by acc += scale * y, but where they give y = b.
+            # solve_shifted's operations, then acc += scale * y, but without
+            # the solve where it gives y = b
             for s in kept:
                 if s.sigma == 1.0 and 0.0 <= s.tau * d_max <= _IDENTITY:
                     # rounding is monotone, so every tau*d_i here is in
                     # [0, 2**-53], 1 + tau*d_i rounds to 1 and b_i / 1 is b_i
                     np.multiply(s.scale, rhs, out=y)
                 else:
-                    np.multiply(s.tau, d, out=y)
-                    np.add(s.sigma, y, out=y)
-                    np.divide(rhs, y, out=y)
+                    _solve_into(s.sigma, s.tau, d, rhs, y)
                     np.multiply(s.scale, y, out=y)
                 np.add(out, y, out=out)
 
+    @staticmethod
     def _kept_nodes(
-        self, systems: Sequence[ShiftedSystem], b: np.ndarray, scratch: np.ndarray, lo: int
+        systems: Sequence[ShiftedSystem], rhs: np.ndarray, span: tuple[float, float], scratch: np.ndarray
     ) -> list[bool]:
-        """For the block of ``apply_sum`` starting at ``lo``, whether each
-        system's term may change a bit of the block's sum; ``scratch``
-        receives |b| of the block.  No term of a block whose entries are all
-        +inf is kept, since apply_sum pins those entries to zero.
+        """For a block of ``apply_sum`` with right-hand side ``rhs`` and least
+        and greatest finite entry ``span``, whether each system's term may
+        change a bit of the block's sum; ``scratch``, of ``rhs``'s size,
+        receives |rhs|.
 
         While the fields of the systems so far are finite and >= 0, each term
         ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
@@ -282,15 +268,11 @@ class DiagonalOperator(OperatorHandle):
         first system with a negative or non-finite field on, every node is
         kept.
         """
-        span = self._spans[lo // self._block]
-        if span is None:
-            return [False] * len(systems)
-        y = scratch[: min(self._block, b.size - lo)]
-        np.abs(b[lo : lo + y.size], out=y)
-        b_max, b_min = float(y.max()), float(y.min())
+        np.abs(rhs, out=scratch)
+        b_max, b_min = float(scratch.max()), float(scratch.min())
         inf = math.inf
         if b_min == 0.0:
-            b_min = float(np.min(y, where=y > 0.0, initial=inf))
+            b_min = float(np.min(scratch, where=scratch > 0.0, initial=inf))
         d_min, d_max = span
         floor = 0.0  # the least |acc_i| over b_i != 0 proven so far
         kept = [True] * len(systems)
@@ -350,16 +332,16 @@ class CallbackOperator(OperatorHandle):
     Self-adjointness and positivity are taken on trust.  ``b`` is passed
     read-only, so a numpy write into it raises; compiled code that ignores
     the flag, such as scipy.linalg's solvers with ``overwrite_b=True``, can
-    still overwrite it and so must be given a copy.  A solution that shares
-    memory with ``b``, as such a solver returns, of the wrong shape, of a
-    dtype other than bool, integer or real float, or not finite raises
-    OperatorError.
+    still overwrite it and so must be given a copy.  Each solution is
+    checked by ``_solution``, as in the default ``apply_sum``, which refuses
+    one that shares memory with ``b``, as such a solver returns, and must
+    also be finite; a refused solution raises OperatorError.
     """
 
     def __init__(self, dimension: int, solve: Callable[[float, float, np.ndarray], np.ndarray]):
-        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+        if not isinstance(dimension, (int, np.integer)) or isinstance(dimension, bool) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        self._dim = dimension
+        self._dim = int(dimension)
         self._solve = solve
 
     @property
@@ -367,27 +349,36 @@ class CallbackOperator(OperatorHandle):
         return self._dim
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        y = np.asarray(self._solve(sigma, tau, b))
-        if np.may_share_memory(y, b):
-            raise OperatorError(
-                f"callback returned a solution that shares memory with b at sigma={sigma!r}, tau={tau!r};"
-                " pass the solver a copy of b"
-            )
-        if np.iscomplexobj(y):
-            raise OperatorError(f"callback returned a complex solution at sigma={sigma!r}, tau={tau!r}")
-        if y.dtype.kind not in "biuf":
-            # astype(float) would parse strings and fail on objects unchecked
-            raise OperatorError(
-                f"callback returned a solution of dtype {y.dtype} at sigma={sigma!r}, tau={tau!r}"
-            )
-        y = y.astype(float, copy=False)
-        if y.shape != b.shape:
-            raise OperatorError(
-                f"callback returned shape {y.shape}, expected {b.shape}"
-            )
+        y = _solution(self._solve(sigma, tau, b), b, sigma, tau)
         if not np.isfinite(y).all():
-            raise OperatorError(f"callback returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
+            raise OperatorError(f"solver returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
         return y
+
+
+def _solve_into(sigma: float, tau: float, d: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
+    """out = rhs / (sigma + tau*d), computed in ``out``."""
+    np.multiply(tau, d, out=out)
+    np.add(sigma, out, out=out)
+    np.divide(rhs, out, out=out)
+
+
+def _solution(y, b: np.ndarray, sigma: float, tau: float) -> np.ndarray:
+    """A solver's result ``y`` for the right-hand side ``b`` as a float64
+    array of ``b``'s shape, else OperatorError.  A cast would drop an
+    imaginary part with only a warning and parse strings, and adding a
+    solution of another shape would broadcast it into the sum."""
+    y = np.asarray(y)
+    if np.may_share_memory(y, b):
+        problem = "a solution that shares memory with b (pass the solver a copy of b)"
+    elif np.iscomplexobj(y):
+        problem = "a complex solution"
+    elif y.dtype.kind not in "biuf":
+        problem = f"a solution of dtype {y.dtype}"
+    elif y.shape != b.shape:
+        problem = f"shape {y.shape}, expected {b.shape},"
+    else:
+        return y.astype(float, copy=False)
+    raise OperatorError(f"solver returned {problem} at sigma={sigma!r}, tau={tau!r}")
 
 
 def _usable_cores() -> int:
@@ -416,11 +407,15 @@ def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with a scheme already built by
     ``scheme(n, p, mode)``, as
     ``built.params.prefactor * op.apply_sum(built.systems, b)``; ``b`` must
-    be finite."""
+    be finite, and a result that is not, from an overflow near the double
+    limit or a backend's inf or NaN, raises OperatorError."""
     vec = _as_vector(b, op.dimension)
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
-    return built.params.prefactor * op.apply_sum(built.systems, vec)
+    y = built.params.prefactor * op.apply_sum(built.systems, vec)
+    if not np.isfinite(y).all():
+        raise OperatorError("the result is not finite: the solves overflowed or returned inf or NaN")
+    return y
 
 
 def apply_resolvent(

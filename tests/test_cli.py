@@ -238,6 +238,39 @@ def test_out_of_range_parameters_are_refused(tmp_path, capsys, h):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--diag-file", "--vector-file"])
+def test_apply_names_a_file_that_is_not_utf8(tmp_path, capsys, flag):
+    files = {"--diag-file": tmp_path / "d.txt", "--vector-file": tmp_path / "b.txt"}
+    for path in files.values():
+        path.write_text("1.0\n2.0\n")
+    files[flag].write_bytes(b"1.0\xff")
+    code = main([
+        "apply", "--alpha", "0.5", "--h", "1.0", "--n", "10",
+        "--diag-file", str(files["--diag-file"]), "--vector-file", str(files["--vector-file"]),
+        "--out", str(tmp_path / "y.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {files[flag]}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "1/0", "cannot parse alpha '1/0'"),
+    ("--alpha", "x", "cannot parse alpha 'x'"),
+    ("--h", "abc", "expected a number, got 'abc'"),
+    ("--h", "nan", "expected a positive finite number, got 'nan'"),
+    ("--n", "2.5", "expected an integer, got '2.5'"),
+    ("--lambda-min", "0.5", "spectral points must be >= 1, got '0.5'"),
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "s.csv"
+    args = {"--alpha": "0.5", "--h": "1", "--n": "5", "--out": str(out), flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["scalar-sweep", *(part for pair in args.items() for part in pair)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_alpha_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--alpha", "1.5", "--h", "1.0", "--n", "5"])

@@ -337,6 +337,21 @@ def test_callback_operator_refuses_non_numeric_solution(solution):
         apply_resolvent(cb, np.ones(3), Params(0.5, 1.0), 5)
 
 
+@pytest.mark.parametrize("dimension", [0, -2, 2.5, True, np.bool_(True), "3", np.float64(3.0)])
+def test_callback_operator_refuses_a_bad_dimension(dimension):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        CallbackOperator(dimension, DiagonalOperator([1.0, 2.0, 4.0]).solve_shifted)
+
+
+@pytest.mark.parametrize("dimension", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_callback_operator_accepts_integer_dimensions(dimension):
+    diag = DiagonalOperator([1.0, 2.0, 4.0])
+    op = CallbackOperator(dimension, diag.solve_shifted)
+    assert type(op.dimension) is int and op.dimension == 3
+    p = Params(0.5, 1.0)
+    assert np.array_equal(apply_resolvent(op, np.ones(3), p, 5), apply_resolvent(diag, np.ones(3), p, 5))
+
+
 @pytest.mark.parametrize("solution", [np.ones(3, dtype=bool), np.arange(3), np.ones(3, dtype=np.float32)])
 def test_callback_operator_accepts_numeric_solutions(solution):
     cb = CallbackOperator(3, lambda s, t, b: solution.copy())
@@ -385,6 +400,54 @@ def test_default_apply_sum_refuses_a_solution_of_the_wrong_shape():
     # broadcasting would add the one entry into every entry of the sum
     with pytest.raises(OperatorError, match=r"shape \(1,\), expected \(3,\)"):
         apply_resolvent(_OneEntrySolutions(), [1.0, 5.0, 9.0], Params(0.5, 1.0), 5)
+
+
+class _UserSolutions(OperatorHandle):
+    """A diagonal backend whose ``solve_shifted`` returns its solution as
+    ``kind``: an array, a list, complex, strings, NaN or ``b`` itself."""
+
+    dimension = 3
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def solve_shifted(self, sigma, tau, b):
+        y = b / (sigma + tau * np.array([1.0, 2.0, 4.0]))
+        return {
+            "array": y, "list": list(y), "complex": y.astype(complex), "str": y.astype(str),
+            "nan": np.full_like(y, np.nan), "b": b,
+        }[self.kind]
+
+
+@pytest.mark.parametrize(
+    "kind, message", [("complex", "complex solution at sigma="), ("str", "dtype <U"), ("b", "shares memory")]
+)
+def test_default_apply_sum_checks_every_solution(kind, message):
+    # the sum would raise a raw TypeError on the first two, and add b itself
+    with pytest.raises(OperatorError, match=message):
+        apply_resolvent(_UserSolutions(kind), [1.0, 5.0, 9.0], Params(0.5, 1.0), 5)
+
+
+def test_default_apply_sum_accepts_a_list_solution():
+    p = Params(0.5, 1.0)
+    got = apply_resolvent(_UserSolutions("list"), [1.0, 5.0, 9.0], p, 5)
+    want = apply_resolvent(_UserSolutions("array"), [1.0, 5.0, 9.0], p, 5)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_apply_refuses_a_backend_that_returns_nan():
+    with pytest.raises(OperatorError, match="not finite"):
+        apply_resolvent(_UserSolutions("nan"), np.ones(3), Params(0.5, 1.0), 5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_apply_refuses_a_result_that_overflows(mode, sign):
+    # the exact result is about 9.9e306 * sign at d = 1, but the solve
+    # b / (sigma + tau*d) overflows at nodes where sigma + tau*d < 0.056
+    op = DiagonalOperator([1.0, 1e8])
+    with pytest.raises(OperatorError, match="not finite"):
+        apply_resolvent(op, [sign * 1e307] * 2, Params(0.5, 0.01), 50, mode)
 
 
 class _TrackedSolutions(OperatorHandle):
@@ -687,6 +750,27 @@ def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     assert started == list(range(k + 1))
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_one_block_diagonal_starts_no_thread(monkeypatch, cores):
+    # the pool starts a thread only for a part it is given
+    _set_cores(monkeypatch, cores)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    op = DiagonalOperator(np.logspace(0, 16, 161))
+    apply_resolvent(op, np.ones(op.dimension), Params(0.5, 0.01), 50)
+    assert started == []
+    # three blocks give the pool parts, and the count sees their threads
+    many, b, systems = _three_blocks()
+    many.apply_sum(systems, b)
+    assert bool(started) == (cores > 1)
+
+
 def test_callback_may_call_the_threaded_kernel(monkeypatch):
     # serial solves that each run the kernel's pool
     inner, b, systems = _three_blocks()
@@ -755,7 +839,9 @@ def test_diagonal_skips_most_tail_terms_at_the_paper_point():
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 0.01), "standard").systems
     b, scratch = np.ones(op.dimension), np.empty(_BLOCK)
-    kept = np.array([op._kept_nodes(systems, b, scratch, lo) for lo in range(0, op.dimension, _BLOCK)])
+    starts = range(0, op.dimension, _BLOCK)
+    blocks = [(b[lo : lo + _BLOCK], span) for lo, span in zip(starts, op._spans)]
+    kept = np.array([op._kept_nodes(systems, rhs, span, scratch) for rhs, span in blocks])
     assert kept.shape == (4, len(systems))
     assert kept[:, 0].all()  # nothing is known before the first term
     assert 1.0 - kept.mean() >= 0.4
@@ -768,13 +854,12 @@ def test_diagonal_skip_needs_nonnegative_systems():
     d[:block] = np.logspace(0, 16, block)  # the second block is all +inf
     op = DiagonalOperator(d)
     assert op._spans[1] is None
-    b, scratch = np.ones(d.size), np.empty(_BLOCK)
+    b, scratch = np.ones(block), np.empty(block)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    first, second = (op._kept_nodes([big, tiny], b, scratch, lo) for lo in (0, block))
-    assert first == [True, False] and second == [False, False]
+    assert op._kept_nodes([big, tiny], b, op._spans[0], scratch) == [True, False]
     # a term of the other sign may shrink |acc|: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
-        first = op._kept_nodes([big, tiny, odd, tiny], b, scratch, 0)
+        first = op._kept_nodes([big, tiny, odd, tiny], b, op._spans[0], scratch)
         assert first == [True, False, True, True]
 
 
@@ -787,15 +872,18 @@ def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     # no block, and the bounds would keep every node anyway
     truncated = scheme(50, Params(0.5, 0.01), "truncated").systems
     bounds = DiagonalOperator._kept_nodes
-    monkeypatch.setattr(
-        DiagonalOperator, "_kept_nodes", lambda self, systems, b, _, lo: bounds(self, systems, b, scratch, lo)
-    )
+
+    def into_scratch(systems, rhs, span, _):
+        return bounds(systems, rhs, span, scratch)
+
+    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(into_scratch))
     op.apply_sum(truncated, b)
     assert np.isnan(scratch).all()
-    assert all(all(op._kept_nodes(truncated, b, np.empty(_BLOCK), lo)) for lo in starts)
+    blocks = [(b[lo : lo + _BLOCK], span) for lo, span in zip(starts, op._spans)]
+    assert all(all(op._kept_nodes(truncated, rhs, span, np.empty(_BLOCK))) for rhs, span in blocks)
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
-    assert all(all(op._kept_nodes(spread, b, scratch, lo)) for lo in starts)
+    assert all(all(op._kept_nodes(spread, rhs, span, scratch)) for rhs, span in blocks)
 
 
 @pytest.mark.parametrize("mode", ["balanced", "truncated"])

@@ -274,6 +274,18 @@ def test_plan_for_tolerance_unreachable():
         plan_for_tolerance(1e-300, Params(0.5, 1.0), n_max=5)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_plan_for_tolerance_refuses_a_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        plan_for_tolerance(tol, Params(0.5, 1.0))
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_asymptotic_estimates_refuse_fewer_than_one_solve(q):
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        asymptotic_estimates(q, Params(0.5, 1.0))
+
+
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "7", MAX_RULE_SIZE + 1])
 def test_planner_rejects_bad_rule_size(bad):
     p = Params(0.5, 1.0)
