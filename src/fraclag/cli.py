@@ -47,7 +47,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0.0 or math.isinf(value) or math.isnan(value):
+    if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
@@ -88,18 +88,16 @@ def _emit(out, header, rows) -> None:
         io.write_csv(out, header, rows)
 
 
-def _cmd_scalar_sweep(args) -> int:
+def _cmd_scalar_sweep(args, p: Params) -> int:
     if args.lambda_max < args.lambda_min:
         raise UsageError("--lambda-max must be >= --lambda-min")
-    p = Params(alpha=args.alpha, h=args.h)
     grid = np.logspace(math.log10(args.lambda_min), math.log10(args.lambda_max), args.points)
     records = error_sweep(p, args.n, grid, args.mode)
     _emit(args.out, SWEEP_HEADER, map(dataclasses.astuple, records))
     return 0
 
 
-def _cmd_sequences(args) -> int:
-    p = Params(alpha=args.alpha, h=args.h)
+def _cmd_sequences(args, p: Params) -> int:
     ns = n_star(p)
     nss = n_star_star(p)
     header = ["n", "g_I", "g_II", "g_III", "g_IV", "eps1", "eps2", "n_star", "n_star_star"]
@@ -120,8 +118,7 @@ def _plan_row(plan):
             plan.predicted_error, plan.inversions)
 
 
-def _cmd_plan(args) -> int:
-    p = Params(alpha=args.alpha, h=args.h)
+def _cmd_plan(args, p: Params) -> int:
     if args.tol is not None:
         plans = [plan_for_tolerance(args.tol, p)]
     else:
@@ -130,8 +127,7 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_operator_error(args) -> int:
-    p = Params(alpha=args.alpha, h=args.h)
+def _cmd_operator_error(args, p: Params) -> int:
     entries = io.read_diagonal(args.diag_file) if args.diag_file else benchmark_diagonal()
     op = DiagonalOperator(entries)
     b = np.ones(op.dimension)
@@ -157,8 +153,7 @@ def _cmd_operator_error(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    p = Params(alpha=args.alpha, h=args.h)
+def _cmd_apply(args, p: Params) -> int:
     if args.matrix_file:
         op = DenseOperator(io.read_matrix(args.matrix_file))
     else:
@@ -239,7 +234,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Params(args.alpha, args.h))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -108,13 +108,13 @@ def _quotient(num: float, den: float, lam: float) -> float:
 
 
 def _log_shifted(lam: float, p: Params) -> float:
-    # log(h**(1/alpha) * lam), the recurring spectral coordinate
-    return p.log_h_root + math.log(lam)
+    # log(h**(1/alpha) * lam), the recurring spectral coordinate; a lam below
+    # 1, NaN or inf raises ValueError here
+    return p.log_h_root + math.log(_check_lam(lam))
 
 
 def poles(lam: float, p: Params) -> PoleSet:
     """Singularity locations that drive the four estimates at ``lam``."""
-    lam = _check_lam(lam)
     a = p.alpha
     big_l = _log_shifted(lam, p)
     return PoleSet(
@@ -128,7 +128,6 @@ def poles(lam: float, p: Params) -> PoleSet:
 def gamma_pm(lam: float, p: Params) -> tuple[float, float]:
     """The pair ``sqrt(sqrt(L**2 + pi**2) +- L)`` with
     ``L = log(h**(1/alpha) * lam)``; the two values multiply to ``pi``."""
-    lam = _check_lam(lam)
     big_l = _log_shifted(lam, p)
     r = math.hypot(big_l, math.pi)
     return math.sqrt(r + big_l), math.sqrt(r - big_l)

@@ -76,20 +76,27 @@ class Params:
         return self.sin_pi_alpha / (self.alpha * math.pi)
 
 
-def _spectral(lam) -> np.ndarray:
-    """``lam`` as a float array, refused unless every entry is ``>= 1``."""
-    lam = np.asarray(lam, dtype=float)
+def _spectral(values, what: str = "lam") -> np.ndarray:
+    """``values`` as a float array, refused unless every entry is ``>= 1``;
+    the message names them ``what``."""
+    values = np.asarray(values, dtype=float)
     # every comparison with NaN is false, so one comparison per check refuses it
-    if not np.all(lam >= 1):
-        raise ValueError("lam must be >= 1")
-    return lam
+    if not np.all(values >= 1):
+        raise ValueError(f"{what} must be >= 1")
+    return values
 
 
-def _validated(x, lam):
+def _evaluate(kernel, x, lam, p: Params):
+    """``kernel(x, lam, p)`` for ``_f1`` or ``_f2`` once ``x`` is checked
+    finite and nonnegative and ``lam >= 1``, with the warnings of the
+    kernel's 0-limits silenced; a 0-d result comes back as a float."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("x must be finite and nonnegative")
-    return x, _spectral(lam)
+    lam = _spectral(lam)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = kernel(x, lam, p)
+    return out if out.ndim else float(out)
 
 
 def f1(x, lam, p: Params):
@@ -103,10 +110,7 @@ def f1(x, lam, p: Params):
     is formed in log space, so extreme magnitudes degrade gracefully to the
     0-limit of the integrand instead of producing NaN.
     """
-    x, lam = _validated(x, lam)
-    with np.errstate(over="ignore", divide="ignore"):
-        out = _f1(x, lam, p)
-    return out if out.ndim else float(out)
+    return _evaluate(_f1, x, lam, p)
 
 
 def f2(x, lam, p: Params):
@@ -116,10 +120,7 @@ def f2(x, lam, p: Params):
               * (1 + 2*cos(alpha*pi)*exp(-alpha*x/(alpha+1))
                  + exp(-2*alpha*x/(alpha+1))))``
     """
-    x, lam = _validated(x, lam)
-    with np.errstate(over="ignore", divide="ignore"):
-        out = _f2(x, lam, p)
-    return out if out.ndim else float(out)
+    return _evaluate(_f2, x, lam, p)
 
 
 # The kernels below are the formulas of f1 and f2 and nothing else.  They take

@@ -103,14 +103,10 @@ def _weights_from_nodes(n: int, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _build_rule(n: int) -> QuadratureRule:
-    if n == 1:
-        nodes = np.array([1.0])
-        weights = np.array([1.0])
-    else:
-        j = np.arange(1, n + 1, dtype=float)
-        nodes = eigvalsh_tridiagonal(2.0 * j - 1.0, j[:-1])
-        nodes = _refine_nodes(n, nodes)
-        weights = _weights_from_nodes(n, nodes)
+    j = np.arange(1, n + 1, dtype=float)
+    nodes = eigvalsh_tridiagonal(2.0 * j - 1.0, j[:-1])
+    nodes = _refine_nodes(n, nodes)
+    weights = _weights_from_nodes(n, nodes)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(n=n, nodes=nodes, weights=weights)

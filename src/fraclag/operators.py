@@ -19,21 +19,12 @@ starts a thread only for a part it is given, so a diagonal of one block
 starts none.  The blocks are all of one size, so parts of equally many
 blocks get equal work.
 
-The Gauss-Laguerre weights decay like exp(-x), so many tail nodes add less
-than half an ulp of the running sum.  The diagonal kernel skips such a node
-for a whole block when a float bound proves that its term cannot change a
-bit of any entry there (``DiagonalOperator._kept_nodes``): the result stays
-bit for bit the default sum.  The truncated scheme has no such node, and a
-cheap test on its scales spares it the bounds.
-
-The first integral's nodes solve (I + tau*L)y = b with tau falling like
-exp(-x/alpha), so at its tail nodes 1 + tau*d rounds to exactly 1 over the
-low decades of the spectrum.  Where that holds for a block's greatest finite
-entry it holds for all of them, and the kernel adds scale*b, the term's
-exact value, without the three passes that would recompute b.  Like a
-skipped node, an identity node raises no floating-point flag from the passes
-it leaves out, such as the underflow of a subnormal tau*d.  The README gives
-the kernel's measured timings and the share of passes it skips.
+The diagonal kernel's result is the default sum bit for bit.  It leaves
+out, for a whole block, a node whose term provably cannot change a bit of
+the block's sum (``DiagonalOperator._kept_nodes``), and adds scale*b for a
+node whose solve is the identity over the block; neither raises a
+floating-point flag from the passes it leaves out.  The README gives the
+kernel's measured timings and the share of passes it spares.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import Params, ShiftedSystem
+from .integrands import Params, ShiftedSystem, _spectral
 from .planner import Scheme, scheme
 
 __all__ = [
@@ -112,7 +103,7 @@ class OperatorHandle(ABC):
         acc = np.zeros_like(b)
         blocks = [(slice(lo, lo + _BLOCK), acc[lo : lo + _BLOCK]) for lo in range(0, b.size, _BLOCK)]
         for s in systems:
-            y = _solution(self.solve_shifted(s.sigma, s.tau, b), b, s.sigma, s.tau)
+            y = _solution(self.solve_shifted(s.sigma, s.tau, b), b, (s.sigma, s.tau))
             # acc += s.scale * y, a block at a time so the scaled term is
             # never a whole vector
             for part, out in blocks:
@@ -133,8 +124,7 @@ class DiagonalOperator(OperatorHandle):
         d = np.array(entries, dtype=float, ndmin=1)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("diagonal entries must form a nonempty 1-D sequence")
-        if not (d >= 1.0).all():
-            raise ValueError("diagonal entries must be >= 1")
+        _spectral(d, "diagonal entries")
         d.setflags(write=False)
         self._d = d
         self._infinite = np.flatnonzero(np.isinf(d))
@@ -181,15 +171,10 @@ class DiagonalOperator(OperatorHandle):
         thread when W is 1.  Each entry's sum is formed inside its block, in
         node order, so the bits do not depend on W or on the block size.  In
         each block a node is skipped when ``_kept_nodes`` proves that its
-        term cannot change a bit of the block's sum.  A skip needs a term
-        2**-55 of an earlier one, which in the node systems of a scheme takes
-        scales that span more than 2**55.  Keeping a node is always exact,
-        so a call whose scales span less keeps every node unchecked.  A kept
-        node with sigma == 1 whose tau times the block's greatest finite
-        entry is in [0, 2**-53] adds scale*b: rounding is monotone, so
-        1 + tau*d rounds to 1 at every finite entry of the block, and b/1 is
-        b.  Neither a skipped nor such an identity node raises a
-        floating-point flag from the passes it leaves out.
+        term cannot change a bit of the block's sum, which needs node scales
+        that span more than 2**55, and a node whose solve is the identity on
+        the block adds scale*b.  Neither raises a floating-point flag from
+        the passes it leaves out.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -349,7 +334,7 @@ class CallbackOperator(OperatorHandle):
         return self._dim
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        y = _solution(self._solve(sigma, tau, b), b, sigma, tau)
+        y = _solution(self._solve(sigma, tau, b), b, (sigma, tau))
         if not np.isfinite(y).all():
             raise OperatorError(f"solver returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
         return y
@@ -362,11 +347,12 @@ def _solve_into(sigma: float, tau: float, d: np.ndarray, rhs: np.ndarray, out: n
     np.divide(rhs, out, out=out)
 
 
-def _solution(y, b: np.ndarray, sigma: float, tau: float) -> np.ndarray:
-    """A solver's result ``y`` for the right-hand side ``b`` as a float64
-    array of ``b``'s shape, else OperatorError.  A cast would drop an
-    imaginary part with only a warning and parse strings, and adding a
-    solution of another shape would broadcast it into the sum."""
+def _solution(y, b: np.ndarray, shift: tuple[float, float] | None = None) -> np.ndarray:
+    """``y``, returned for the right-hand side ``b`` by a solver at
+    ``shift = (sigma, tau)`` or, when ``shift`` is None, by ``apply_sum``,
+    as a float64 array of ``b``'s shape, else OperatorError naming the
+    source.  A cast would drop an imaginary part with only a warning and
+    parse strings, and a solution of another shape would broadcast."""
     y = np.asarray(y)
     if np.may_share_memory(y, b):
         problem = "a solution that shares memory with b (pass the solver a copy of b)"
@@ -378,7 +364,9 @@ def _solution(y, b: np.ndarray, sigma: float, tau: float) -> np.ndarray:
         problem = f"shape {y.shape}, expected {b.shape},"
     else:
         return y.astype(float, copy=False)
-    raise OperatorError(f"solver returned {problem} at sigma={sigma!r}, tau={tau!r}")
+    if shift is None:
+        raise OperatorError(f"apply_sum returned {problem.rstrip(',')}")
+    raise OperatorError(f"solver returned {problem} at sigma={shift[0]!r}, tau={shift[1]!r}")
 
 
 def _usable_cores() -> int:
@@ -407,12 +395,13 @@ def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
     """Approximate (I + h*L^alpha)^{-1} b with a scheme already built by
     ``scheme(n, p, mode)``, as
     ``built.params.prefactor * op.apply_sum(built.systems, b)``; ``b`` must
-    be finite, and a result that is not, from an overflow near the double
-    limit or a backend's inf or NaN, raises OperatorError."""
+    be finite.  ``apply_sum``'s result goes through ``_solution``, and one
+    that fails it, or a result that is not finite, from an overflow near
+    the double limit or a backend's inf or NaN, raises OperatorError."""
     vec = _as_vector(b, op.dimension)
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
-    y = built.params.prefactor * op.apply_sum(built.systems, vec)
+    y = built.params.prefactor * _solution(op.apply_sum(built.systems, vec), vec)
     if not np.isfinite(y).all():
         raise OperatorError("the result is not finite: the solves overflowed or returned inf or NaN")
     return y

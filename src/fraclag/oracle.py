@@ -70,8 +70,7 @@ def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
     vec = np.asarray(b, dtype=float)
     if vec.shape != d.shape:
         raise ValueError(f"shape mismatch: entries {d.shape}, vector {vec.shape}")
-    if not (d >= 1.0).all():
-        raise ValueError("diagonal entries must be >= 1")
+    _spectral(d, "diagonal entries")
     # h > 0, so an inf entry gives an inf denominator and a clean 0 quotient
     with np.errstate(over="ignore"):
         return vec / (1.0 + p.h * d**p.alpha)
@@ -116,8 +115,8 @@ def representation_check(lam: float, p: Params, tol: float) -> RepresentationChe
     Each integral is evaluated adaptively on [0, X_i] with X_i large enough
     that the tail, bounded by K_i * exp(-X_i), stays below tol/10.
     """
-    if not (tol > 0.0) or math.isnan(tol):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     k1, k2 = bounds(p)
     budget = tol / 10.0
     total = 0.0

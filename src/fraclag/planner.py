@@ -44,6 +44,9 @@ _BRANCH2_STRETCH = 1.25
 # guard against ties landing a hair above an integer
 _ROUND_FUZZ = 1e-9
 
+# the largest first-rule size plan_for_tolerance tries
+_TOL_PLAN_MAX = 2000
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -191,14 +194,14 @@ def asymptotic_estimates(q: int, p: Params) -> tuple[float, float]:
     return bal, trunc
 
 
-def plan_for_tolerance(tol: float, p: Params, n_max: int = 2000) -> Plan:
-    """Smallest-``n`` plan whose predicted error meets ``tol``."""
-    if not (tol > 0.0) or math.isnan(tol):
+def plan_for_tolerance(tol: float, p: Params) -> Plan:
+    """Smallest-``n`` plan, ``n <= 2000``, whose predicted error meets ``tol``."""
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    for n in range(1, n_max + 1):
+    for n in range(1, _TOL_PLAN_MAX + 1):
         if _truncated_figure(n, p) <= tol:
             return make_plan(n, p)
-    raise ValueError(f"no n <= {n_max} meets tolerance {tol}")
+    raise ValueError(f"no n <= {_TOL_PLAN_MAX} meets tolerance {tol}")
 
 
 class Scheme(NamedTuple):

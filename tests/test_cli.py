@@ -111,6 +111,16 @@ def test_scalar_sweep_rejects_inverted_range(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_scalar_sweep_reports_bad_params_before_an_inverted_range(tmp_path, capsys):
+    # every command builds its Params first, so the data error comes first
+    code = main([
+        "scalar-sweep", "--alpha", "0.5", "--h", "1e300", "--n", "10",
+        "--lambda-min", "1000", "--lambda-max", "10", "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: h**(1/alpha) is out of double range at alpha=0.5, h=1e+300\n"
+
+
 def test_apply_identity_matrix(tmp_path, capsys):
     mat = tmp_path / "m.csv"
     mat.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n")

@@ -22,8 +22,8 @@ GL2_W_HI = 0.1464466094067262378
 def test_single_node_rule():
     rule = gauss_laguerre(1)
     assert rule.nodes.shape == (1,)
-    assert rule.nodes[0] == pytest.approx(1.0, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(1.0, abs=1e-15)
+    assert rule.nodes[0] == 1.0
+    assert rule.weights[0] == 1.0
 
 
 def test_two_node_rule_closed_form():

@@ -435,6 +435,41 @@ def test_default_apply_sum_accepts_a_list_solution():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class _UserSums(OperatorHandle):
+    """A backend whose ``apply_sum`` returns ``kind``: one entry, complex,
+    strings or ``b`` itself."""
+
+    dimension = 3
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def solve_shifted(self, sigma, tau, b):
+        raise AssertionError("apply_sum is overridden")
+
+    def apply_sum(self, systems, b):
+        return {
+            "one": np.ones(1), "complex": b.astype(complex), "str": b.astype(str), "b": b,
+        }[self.kind]
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("one", r"apply_sum returned shape \(1,\), expected \(3,\)$"),
+        ("complex", "apply_sum returned a complex solution$"),
+        ("str", "apply_sum returned a solution of dtype <U"),
+        ("b", "apply_sum returned a solution that shares memory with b"),
+    ],
+    ids=["one-entry", "complex", "str", "b"],
+)
+def test_apply_checks_what_apply_sum_returns(kind, message):
+    # unchecked, these would give a (1,) result, a complex one, prefactor * b
+    # and a raw UFuncTypeError
+    with pytest.raises(OperatorError, match=message):
+        apply_resolvent(_UserSums(kind), [1.0, 5.0, 9.0], Params(0.5, 1.0), 5)
+
+
 def test_apply_refuses_a_backend_that_returns_nan():
     with pytest.raises(OperatorError, match="not finite"):
         apply_resolvent(_UserSolutions("nan"), np.ones(3), Params(0.5, 1.0), 5)

@@ -96,6 +96,12 @@ def test_representation_check_validates_tol():
         representation_check(1.0, p, tol=-1e-8)
 
 
+def test_representation_check_refuses_an_infinite_tol():
+    # unrefused, log(K / (tol/10)) would raise a raw math domain error
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        representation_check(1.0, Params(0.5, 1.0), tol=math.inf)
+
+
 def test_representation_check_reports_unreachable_budget():
     # Far below machine precision the adaptive integrator cannot certify
     # its result and must say so rather than return silently.

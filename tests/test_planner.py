@@ -271,7 +271,7 @@ def test_plan_for_tolerance_meets_target():
 
 def test_plan_for_tolerance_unreachable():
     with pytest.raises(ValueError):
-        plan_for_tolerance(1e-300, Params(0.5, 1.0), n_max=5)
+        plan_for_tolerance(1e-300, Params(0.5, 1.0))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
