@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -20,7 +19,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 __all__ = [
     "MAX_RULE_SIZE",
     "QuadratureRule",
-    "TruncationIndex",
     "gauss_laguerre",
     "truncation_index",
 ]
@@ -51,13 +49,6 @@ class QuadratureRule:
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-
-
-class TruncationIndex(NamedTuple):
-    """Result of :func:`truncation_index`."""
-
-    index: int
-    kept_all: bool
 
 
 def _scaled_laguerre(degree: int, x: np.ndarray):
@@ -144,12 +135,12 @@ def _rule_size(n) -> int:
     return int(n)
 
 
-def truncation_index(rule: QuadratureRule, s: float) -> TruncationIndex:
-    """Smallest 1-based ``k`` such that ``rule.nodes[k - 1] >= s``.
+def truncation_index(rule: QuadratureRule, s: float) -> int:
+    """Smallest 1-based ``k`` such that ``rule.nodes[k - 1] >= s``, or
+    ``rule.n`` when even the largest node falls short of ``s``.
 
     Summing the first ``k`` terms of the rule then keeps every node below the
-    threshold ``s`` plus the first node at or past it.  When even the largest
-    node falls short of ``s`` the full rule is kept and ``kept_all`` is set.
+    threshold ``s`` plus the first node at or past it, or the full rule.
 
     Parameters
     ----------
@@ -159,12 +150,9 @@ def truncation_index(rule: QuadratureRule, s: float) -> TruncationIndex:
 
     Returns
     -------
-    TruncationIndex
-        ``(index, kept_all)`` with ``index`` in ``[1, rule.n]``.
+    int
+        The kept-term count, in ``[1, rule.n]``.
     """
     if not np.isfinite(s) or s < 0:
         raise ValueError(f"threshold must be finite and nonnegative, got {s!r}")
-    pos = int(np.searchsorted(rule.nodes, s, side="left"))
-    if pos >= rule.n:
-        return TruncationIndex(rule.n, True)
-    return TruncationIndex(pos + 1, False)
+    return min(int(np.searchsorted(rule.nodes, s, side="left")) + 1, rule.n)

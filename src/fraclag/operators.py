@@ -308,7 +308,10 @@ class DenseOperator(OperatorHandle):
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         b = _as_vector(b, self.dimension)
-        return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
+        # as in the diagonal kernel, an overflow is left to apply_scheme's
+        # check of the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
 
 
 class CallbackOperator(OperatorHandle):
@@ -396,15 +399,32 @@ def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
     ``scheme(n, p, mode)``, as
     ``built.params.prefactor * op.apply_sum(built.systems, b)``; ``b`` must
     be finite.  ``apply_sum``'s result goes through ``_solution``, and one
-    that fails it, or a result that is not finite, from an overflow near
-    the double limit or a backend's inf or NaN, raises OperatorError."""
+    that fails it raises OperatorError.
+
+    A finite ``b`` near the double limit can overflow the solves.  When the
+    result is not finite, the sum runs once more on ``b * 2**-k``, with
+    ``k`` the binary exponent of ``max|b|``, and its result is scaled by
+    ``2**k``, which is exact away from subnormals.  A result that is still
+    not finite, from a backend's inf or NaN or a true result past the
+    double limit, raises OperatorError."""
     vec = _as_vector(b, op.dimension)
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
-    y = built.params.prefactor * _solution(op.apply_sum(built.systems, vec), vec)
+    y = _prefactor_sum(op, vec, built)
+    if not np.isfinite(y).all():
+        k = math.frexp(float(np.abs(vec).max()))[1]
+        small = _prefactor_sum(op, np.ldexp(vec, -k), built)
+        with np.errstate(over="ignore"):  # a true result past the limit is refused below
+            y = np.ldexp(small, k)
     if not np.isfinite(y).all():
         raise OperatorError("the result is not finite: the solves overflowed or returned inf or NaN")
     return y
+
+
+def _prefactor_sum(op: OperatorHandle, vec: np.ndarray, built: Scheme) -> np.ndarray:
+    """The prefactor times ``op.apply_sum(built.systems, vec)``, checked by
+    ``_solution``."""
+    return built.params.prefactor * _solution(op.apply_sum(built.systems, vec), vec)
 
 
 def apply_resolvent(

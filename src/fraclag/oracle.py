@@ -17,8 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent, f1, f2
-from .laguerre import gauss_laguerre
+from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent
 from .operators import DiagonalOperator, apply_scheme
 from .planner import scheme
 
@@ -150,27 +149,25 @@ def _sweep_reference(which: int, lam: float, p: Params) -> float:
 def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "standard") -> list[SweepRecord]:
     """Measured-vs-estimated errors over a grid of spectral points.
 
-    Per point: the total error of the assembled approximation (one
-    diagonal apply over the whole grid), the two
+    Per point: the total error of the assembled approximation, the two
     per-integral quadrature errors against adaptive references, and the four
-    modulus estimates with their active regimes.
+    modulus estimates with their active regimes.  Each quadrature sum is the
+    grid's ``DiagonalOperator.apply_sum`` over that integral's systems of
+    ``scheme(n, p, mode)``, which the total's approximation also sums.
     """
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         return []
     built = scheme(n, p, mode)
-    (n1, n2), (c1, c2) = built.sizes, built.kept
-    rule1 = gauss_laguerre(n1)
-    rule2 = gauss_laguerre(n2)
-    x1, w1 = rule1.nodes[:c1], rule1.weights[:c1]
-    x2, w2 = rule2.nodes[:c2], rule2.weights[:c2]
-    approx = apply_scheme(DiagonalOperator(grid), np.ones(len(grid)), built)
+    (n1, n2), k1 = built.sizes, built.kept[0]
+    op, ones = DiagonalOperator(grid), np.ones(len(grid))
+    approx = apply_scheme(op, ones, built)
+    sums1 = op.apply_sum(built.systems[:k1], ones)
+    sums2 = op.apply_sum(built.systems[k1:], ones)
 
     records = []
-    for lam, approx_lam in zip(grid, approx):
+    for lam, approx_lam, int1, int2 in zip(grid, approx, sums1.tolist(), sums2.tolist()):
         exact = exact_scalar_resolvent(lam, p)
-        int1 = float(w1 @ f1(x1, lam, p))
-        int2 = float(w2 @ f2(x2, lam, p))
         est = q_estimates(lam, n1, p)
         est2 = est if n2 == n1 else q_estimates(lam, n2, p)
         records.append(

@@ -124,7 +124,7 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     val = 4.0 * m / pi**2 * inner
     if val <= 0.0:
         _, s2 = thresholds(n, m, p)
-        j_m = truncation_index(gauss_laguerre(m), s2).index
+        j_m = truncation_index(gauss_laguerre(m), s2)
     else:
         j_m = min(max(math.floor(math.sqrt(val) + _ROUND_FUZZ), 1), m)
     return j_n, j_m
@@ -135,8 +135,8 @@ def make_plan(n: int, p: Params) -> Plan:
     n = _rule_size(n)
     m = balance_m(n, p)
     s1, s2 = thresholds(n, m, p)
-    k_n = truncation_index(gauss_laguerre(n), s1).index
-    k_m = truncation_index(gauss_laguerre(m), s2).index
+    k_n = truncation_index(gauss_laguerre(n), s1)
+    k_m = truncation_index(gauss_laguerre(m), s2)
     j_n, j_m = analytic_j(n, m, p)
     return Plan(
         n=n,

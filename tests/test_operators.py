@@ -477,12 +477,28 @@ def test_apply_refuses_a_backend_that_returns_nan():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("mode", MODES)
-def test_apply_refuses_a_result_that_overflows(mode, sign):
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_apply_computes_a_finite_result_near_the_double_limit(kind, mode, sign):
     # the exact result is about 9.9e306 * sign at d = 1, but the solve
-    # b / (sigma + tau*d) overflows at nodes where sigma + tau*d < 0.056
-    op = DiagonalOperator([1.0, 1e8])
-    with pytest.raises(OperatorError, match="not finite"):
-        apply_resolvent(op, [sign * 1e307] * 2, Params(0.5, 0.01), 50, mode)
+    # b / (sigma + tau*d) overflows at nodes where sigma + tau*d < 0.056;
+    # the method is linear in b, so the result is 1e307 times that of b = sign
+    d = [1.0, 1e8]
+    op = DiagonalOperator(d) if kind == "diagonal" else DenseOperator(np.diag(d))
+    p = Params(0.5, 0.01)
+    got = apply_resolvent(op, [sign * 1e307] * 2, p, 50, mode)
+    unit = apply_resolvent(op, [sign] * 2, p, 50, mode)
+    np.testing.assert_allclose(got, 1e307 * unit, rtol=1e-15, atol=0.0)
+
+
+def test_apply_refuses_a_callback_solution_that_overflows():
+    d = np.array([1.0, 1e8])
+
+    def solve(sigma, tau, b):
+        with np.errstate(over="ignore"):
+            return b / (sigma + tau * d)
+
+    with pytest.raises(OperatorError, match="non-finite solution"):
+        apply_resolvent(CallbackOperator(2, solve), [1e307] * 2, Params(0.5, 0.01), 50)
 
 
 class _TrackedSolutions(OperatorHandle):

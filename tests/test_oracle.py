@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from fraclag import oracle
+from fraclag import integrands, oracle
 from fraclag.integrands import Params, bounds, f1, f2
+from fraclag.laguerre import gauss_laguerre
 from fraclag.oracle import (
     OracleError,
     SweepRecord,
@@ -16,6 +17,7 @@ from fraclag.oracle import (
     exact_diagonal_apply,
     representation_check,
 )
+from fraclag.planner import scheme
 
 
 def test_exact_diagonal_apply_simple():
@@ -170,6 +172,35 @@ def test_error_sweep_modes_reduce_second_rule():
     # Each variant stays within its own a-priori bound.
     assert bal.err_total <= balanced_estimate(30, p)
     assert tr.err_total <= make_plan(30, p).predicted_error
+
+
+def test_error_sweep_reads_only_the_scheme(monkeypatch):
+    # the per-rule sums come from the scheme's systems, and the references
+    # call the unchecked kernels, so the checked f1 and f2 are never used
+    def refuse(*args):
+        raise AssertionError("the public integrands were evaluated")
+
+    monkeypatch.setattr(integrands, "_evaluate", refuse)
+    records = error_sweep(Params(0.5, 0.01), 20, [1.0, 1e4, 1e12], mode="truncated")
+    assert [r.lam for r in records] == [1.0, 1e4, 1e12]
+
+
+@pytest.mark.parametrize("mode", ["standard", "balanced", "truncated"])
+def test_error_sweep_rule_sums_are_the_kept_quadratures(mode):
+    # each integral's sum over the scheme's systems is its rule's quadrature
+    # of the kept nodes, up to the rounding of the two ways of summing it:
+    # the sums are below 0.79 here, and 3 of their ulps (2**-53) apart at most
+    p, n = Params(0.5, 0.01), 50
+    grid = list(10.0 ** np.linspace(0, 16, 20))
+    built = scheme(n, p, mode)
+    for rec in error_sweep(p, n, grid, mode):
+        for which, f, size, kept, err in zip(
+            (1, 2), (f1, f2), built.sizes, built.kept, (rec.err_int1, rec.err_int2)
+        ):
+            rule = gauss_laguerre(size)
+            quadrature = float(rule.weights[:kept] @ f(rule.nodes[:kept], rec.lam, p))
+            want = abs(oracle._sweep_reference(which, rec.lam, p) - quadrature)
+            assert err == pytest.approx(want, abs=4 * 2.0**-53)
 
 
 def test_error_sweep_empty_grid():

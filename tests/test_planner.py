@@ -145,7 +145,7 @@ def test_kept_term_fallback_for_large_h():
     _, s2 = thresholds(n, m, p)
     from fraclag.laguerre import truncation_index
 
-    k_m = truncation_index(gauss_laguerre(m), s2).index
+    k_m = truncation_index(gauss_laguerre(m), s2)
     assert jm == k_m
 
 
