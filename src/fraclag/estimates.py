@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .integrands import Params
+from .integrands import Params, _real
 from .laguerre import _rule_size
 
 __all__ = [
@@ -82,7 +82,7 @@ class GSequences(NamedTuple):
 
 
 def _check_lam(lam: float) -> float:
-    lam = float(lam)
+    lam = float(_real(lam, "lam"))
     if not (lam >= 1.0) or math.isinf(lam):
         raise ValueError(f"lam must be a finite value >= 1, got {lam!r}")
     return lam

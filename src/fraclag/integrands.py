@@ -36,8 +36,8 @@ class Params:
     h: float
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        h = float(self.h)
+        alpha = float(_real(self.alpha, "alpha"))
+        h = float(_real(self.h, "h"))
         if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
         if not (math.isfinite(h) and h > 0.0):
@@ -76,10 +76,19 @@ class Params:
         return self.sin_pi_alpha / (self.alpha * math.pi)
 
 
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, else ValueError naming them ``what``:
+    a cast would drop an imaginary part with only a warning and parse text."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def _spectral(values, what: str = "lam") -> np.ndarray:
     """``values`` as a float array, refused unless every entry is ``>= 1``;
     the message names them ``what``."""
-    values = np.asarray(values, dtype=float)
+    values = _real(values, what)
     # every comparison with NaN is false, so one comparison per check refuses it
     if not np.all(values >= 1):
         raise ValueError(f"{what} must be >= 1")
@@ -90,7 +99,7 @@ def _evaluate(kernel, x, lam, p: Params):
     """``kernel(x, lam, p)`` for ``_f1`` or ``_f2`` once ``x`` is checked
     finite and nonnegative and ``lam >= 1``, with the warnings of the
     kernel's 0-limits silenced; a 0-d result comes back as a float."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "x")
     if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("x must be finite and nonnegative")
     lam = _spectral(lam)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import Params, ShiftedSystem, _spectral
+from .integrands import Params, ShiftedSystem, _real, _spectral
 from .planner import Scheme, scheme
 
 __all__ = [
@@ -121,7 +121,7 @@ class DiagonalOperator(OperatorHandle):
 
     def __init__(self, entries: Sequence[float]):
         # a copy: a later write by the caller would make _spans unsound
-        d = np.array(entries, dtype=float, ndmin=1)
+        d = np.array(_real(entries, "diagonal entries"), ndmin=1)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("diagonal entries must form a nonempty 1-D sequence")
         _spectral(d, "diagonal entries")
@@ -283,7 +283,7 @@ class DenseOperator(OperatorHandle):
     """
 
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
+        a = _real(matrix, "matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
         if not np.isfinite(a).all():
@@ -383,7 +383,7 @@ def _as_vector(b, dimension: int) -> np.ndarray:
     """``b`` as a read-only 1-D float64 view of length ``dimension``, else
     ValueError; a numpy write into a solver's right-hand side raises rather
     than corrupt the sum and the caller's ``b``."""
-    vec = np.asarray(b, dtype=float).view()
+    vec = _real(b, "b").view()
     vec.setflags(write=False)
     if vec.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {vec.shape}")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _f1, _f2, _spectral, bounds, exact_scalar_resolvent
+from .integrands import Params, _f1, _f2, _real, _spectral, bounds, exact_scalar_resolvent
 from .operators import DiagonalOperator, apply_scheme
 from .planner import scheme
 
@@ -65,8 +65,8 @@ SWEEP_HEADER = ("lambda", "err_total", "err_int1", "err_int2",
 
 def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
     """Entrywise resolvent b_i / (1 + h * d_i**alpha); +inf entries map to 0."""
-    d = np.atleast_1d(np.asarray(entries, dtype=float))
-    vec = np.asarray(b, dtype=float)
+    d = np.atleast_1d(_real(entries, "diagonal entries"))
+    vec = _real(b, "b")
     if vec.shape != d.shape:
         raise ValueError(f"shape mismatch: entries {d.shape}, vector {vec.shape}")
     _spectral(d, "diagonal entries")
@@ -155,7 +155,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     grid's ``DiagonalOperator.apply_sum`` over that integral's systems of
     ``scheme(n, p, mode)``, which the total's approximation also sums.
     """
-    grid = [float(lam) for lam in lambda_grid]
+    grid = _real(list(lambda_grid), "lambda_grid").tolist()
     if not grid:
         return []
     built = scheme(n, p, mode)

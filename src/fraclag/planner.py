@@ -33,7 +33,10 @@ __all__ = [
     "mode_counts",
 ]
 
-MODES = ("standard", "balanced", "truncated")
+# the multiple of standard_estimate each mode advertises
+_FIGURE = {"standard": 1.0, "balanced": 2.0, "truncated": 4.0}
+
+MODES = tuple(_FIGURE)
 
 # The second-integrand balance has two closed forms; the slow-decay form is
 # kept through a 25% band past the analytic crossover n_star, which drops
@@ -130,13 +133,23 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     return j_n, j_m
 
 
+def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """Rule sizes, kept counts and advertised error of ``mode`` at first-rule
+    size ``n``; the only place a mode is turned into them."""
+    n = _rule_size(n)
+    if mode not in _FIGURE:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    sizes = kept = (n, n) if mode == "standard" else (n, balance_m(n, p))
+    if mode == "truncated":
+        cuts = thresholds(*sizes, p)
+        kept = tuple(truncation_index(gauss_laguerre(size), s) for size, s in zip(sizes, cuts))
+    return sizes, kept, _FIGURE[mode] * standard_estimate(n, p)
+
+
 def make_plan(n: int, p: Params) -> Plan:
     """Full sizing decision for a truncated resolvent application at size ``n``."""
-    n = _rule_size(n)
-    m = balance_m(n, p)
+    (n, m), (k_n, k_m), error = _sized(n, p, "truncated")
     s1, s2 = thresholds(n, m, p)
-    k_n = truncation_index(gauss_laguerre(n), s1)
-    k_m = truncation_index(gauss_laguerre(m), s2)
     j_n, j_m = analytic_j(n, m, p)
     return Plan(
         n=n,
@@ -147,18 +160,14 @@ def make_plan(n: int, p: Params) -> Plan:
         j_m=j_m,
         s1=s1,
         s2=s2,
-        predicted_error=_truncated_figure(n, p),
+        predicted_error=error,
     )
-
-
-def _truncated_figure(n: int, p: Params) -> float:
-    return 4.0 * standard_estimate(n, p)
 
 
 def balanced_estimate(n: int, p: Params) -> float:
     """The paper's a-priori estimate for the balanced method, twice the
     dominant decay; not a bound (ROADMAP item 1)."""
-    return 2.0 * standard_estimate(n, p)
+    return _FIGURE["balanced"] * standard_estimate(n, p)
 
 
 def truncated_estimate(plan: Plan, p: Params) -> float:
@@ -199,7 +208,7 @@ def plan_for_tolerance(tol: float, p: Params) -> Plan:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     for n in range(1, _TOL_PLAN_MAX + 1):
-        if _truncated_figure(n, p) <= tol:
+        if _FIGURE["truncated"] * standard_estimate(n, p) <= tol:
             return make_plan(n, p)
     raise ValueError(f"no n <= {_TOL_PLAN_MAX} meets tolerance {tol}")
 
@@ -224,19 +233,10 @@ class Scheme(NamedTuple):
 
 
 def scheme(n: int, p: Params, mode: str) -> Scheme:
-    """The scheme of ``mode`` at first-rule size ``n``; the only place a mode
-    is turned into sizes, node systems and an advertised error."""
-    n = _rule_size(n)
-    if mode == "standard":
-        sizes, kept, error = (n, n), (n, n), standard_estimate(n, p)
-    elif mode == "balanced":
-        m = balance_m(n, p)
-        sizes, kept, error = (n, m), (n, m), balanced_estimate(n, p)
-    elif mode == "truncated":
-        plan = make_plan(n, p)
-        sizes, kept, error = (n, plan.m), (plan.k_n, plan.k_m), plan.predicted_error
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    """The scheme of ``mode`` at first-rule size ``n``: ``_sized``'s sizes,
+    kept counts and advertised error, and the shifted system of every kept
+    node."""
+    sizes, kept, error = _sized(n, p, mode)
     systems: list[ShiftedSystem] = []
     for size, count, which in zip(sizes, kept, ("first", "second")):
         rule = gauss_laguerre(size)
@@ -247,5 +247,7 @@ def scheme(n: int, p: Params, mode: str) -> Scheme:
 
 
 def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``scheme(n, p, mode)``'s sizes and kept counts; kept because the benchmark imports it."""
-    return scheme(n, p, mode)[:2]
+    """``scheme(n, p, mode)``'s sizes and kept counts, read from ``_sized``
+    without building any node system; kept because the benchmark imports it."""
+    sizes, kept, _ = _sized(n, p, mode)
+    return sizes, kept

@@ -1,11 +1,15 @@
 """Tests for the two integrand factors and the scalar resolvent."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fraclag.estimates import q_estimates
 from fraclag.integrands import Params, ShiftedSystem, bounds, exact_scalar_resolvent, f1, f2
+from fraclag.operators import DenseOperator, DiagonalOperator, apply_resolvent
+from fraclag.oracle import error_sweep, exact_diagonal_apply
 
 # High-precision references (mpmath, 50 digits, rounded to double).
 F1_X1_LAM10_A03_H001 = 0.63783498435673219364
@@ -198,3 +202,50 @@ def test_exact_scalar_resolvent_rejects_small_lambda():
     p = Params(0.5, 1.0)
     with pytest.raises(ValueError):
         exact_scalar_resolvent(0.999, p)
+
+
+_P = Params(0.5, 0.01)
+
+# every entry point that takes numbers from a caller, the name its message
+# gives them, and a complex and a text value for them
+_REAL_INPUTS = {
+    "Params-alpha": (lambda v: Params(v, 0.01), "alpha", np.complex128(0.5 + 0.1j), "0.5"),
+    "Params-h": (lambda v: Params(0.5, v), "h", np.complex128(0.01 + 0.01j), "0.01"),
+    "q_estimates-lam": (lambda v: q_estimates(v, 10, _P), "lam", np.complex128(10 + 1j), "10"),
+    "f1-x": (lambda v: f1(v, 10.0, _P), "x", np.array([1 + 1j]), ["1"]),
+    "f2-lam": (lambda v: f2(1.0, v, _P), "lam", np.array([10 + 1j]), ["10"]),
+    "exact_scalar_resolvent-lam": (lambda v: exact_scalar_resolvent(v, _P), "lam", [10 + 1j], ["10"]),
+    "apply_resolvent-b": (
+        lambda v: apply_resolvent(DiagonalOperator([1.0, 2.0, 3.0]), v, _P, 5), "b", [1, 1j, 1], ["1", "2", "3"]
+    ),
+    "DiagonalOperator-entries": (DiagonalOperator, "diagonal entries", [2, 2 + 1j], ["2", "3"]),
+    "DenseOperator-matrix": (DenseOperator, "matrix", [[2, 1j], [-1j, 2]], [["2", "0"], ["0", "2"]]),
+    "exact_diagonal_apply-entries": (
+        lambda v: exact_diagonal_apply(v, [1.0, 1.0], _P), "diagonal entries", [2, 2 + 1j], ["2", "3"]
+    ),
+    "exact_diagonal_apply-b": (lambda v: exact_diagonal_apply([2.0, 3.0], v, _P), "b", [1, 1j], ["1", "2"]),
+    "error_sweep-lambda_grid": (lambda v: error_sweep(_P, 5, v), "lambda_grid", [10 + 1j], ["10"]),
+}
+
+
+@pytest.mark.parametrize("kind", ["complex", "text"])
+@pytest.mark.parametrize("entry", sorted(_REAL_INPUTS))
+def test_complex_and_text_inputs_are_refused(entry, kind):
+    # a cast to float would drop the imaginary part with only a warning, or
+    # parse the text
+    call, name, complex_value, text_value = _REAL_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real, got dtype"):
+        call(complex_value if kind == "complex" else text_value)
+
+
+def test_object_inputs_are_refused():
+    with pytest.raises(ValueError, match="^diagonal entries must be real, got dtype object"):
+        DiagonalOperator([Fraction(2), Fraction(3)])
+
+
+def test_error_sweep_takes_any_iterable_of_reals():
+    grid = [1.0, 10.0, 1e8]
+    want = error_sweep(_P, 5, grid)
+    assert error_sweep(_P, 5, iter(grid)) == want
+    assert error_sweep(_P, 5, np.array(grid, dtype=np.float32).astype(float)) == want
+    assert error_sweep(_P, 5, (int(lam) for lam in grid)) == want

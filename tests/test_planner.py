@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from fraclag import planner
 from fraclag.estimates import eps1, eps2, g_sequences, n_star, q_estimates, standard_estimate
 from fraclag.integrands import Params
 from fraclag.laguerre import MAX_RULE_SIZE, gauss_laguerre
 from fraclag.planner import (
+    MODES,
     Plan,
     analytic_j,
     asymptotic_estimates,
     balance_m,
     balanced_estimate,
     make_plan,
+    mode_counts,
     plan_for_tolerance,
+    scheme,
     thresholds,
     truncated_estimate,
 )
@@ -298,3 +302,26 @@ def test_planner_rejects_bad_rule_size(bad):
                      lambda n, p: q_estimates(10.0, n, p)):
         with pytest.raises(ValueError, match="rule size must be"):
             estimate(bad, p)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+@pytest.mark.parametrize("h", [0.01, 10.0], ids=["h<1", "h>=1"])
+def test_truncated_scheme_does_not_compute_analytic_j(h, monkeypatch):
+    # at h >= 1, analytic_j recomputes the thresholds and the m-rule index
+    p = Params(0.6, h)
+    want = [scheme(n, p, "truncated") for n in (1, 5, 50)]
+    monkeypatch.setattr(planner, "analytic_j", _refuse("analytic_j"))
+    assert [scheme(n, p, "truncated") for n in (1, 5, 50)] == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_counts_builds_no_systems(mode, monkeypatch):
+    p = Params(0.75, 1.0)
+    want = [scheme(n, p, mode)[:2] for n in (1, 25, 120)]
+    monkeypatch.setattr(planner, "node_system", _refuse("node_system"))
+    assert [mode_counts(n, p, mode) for n in (1, 25, 120)] == want
