@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
-from .integrands import Params
+from .integrands import _SPECTRAL_FLOOR, Params
 from .laguerre import MAX_RULE_SIZE
 from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_scheme
 from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
@@ -71,8 +71,8 @@ def _rule_size_list(text: str) -> list[int]:
 
 def _spectral_point(text: str) -> float:
     value = _positive_float(text)
-    if value < 1.0:
-        raise argparse.ArgumentTypeError(f"spectral points must be >= 1, got {text!r}")
+    if value < _SPECTRAL_FLOOR:
+        raise argparse.ArgumentTypeError(f"spectral points must be >= {_SPECTRAL_FLOOR:g}, got {text!r}")
     return value
 
 

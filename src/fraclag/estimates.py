@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .integrands import Params, _real
+from .integrands import _SPECTRAL_FLOOR, Params, _coordinate, _scalar, _spectral
 from .laguerre import _rule_size
 
 __all__ = [
@@ -81,13 +81,6 @@ class GSequences(NamedTuple):
     g_IV: float
 
 
-def _check_lam(lam: float) -> float:
-    lam = float(_real(lam, "lam"))
-    if not (lam >= 1.0) or math.isinf(lam):
-        raise ValueError(f"lam must be a finite value >= 1, got {lam!r}")
-    return lam
-
-
 def _exp(x: float) -> float:
     # math.exp, saturating to inf past double range instead of raising
     try:
@@ -107,16 +100,25 @@ def _quotient(num: float, den: float, lam: float) -> float:
     raise ValueError(f"error estimate at lam={lam!r} is out of double range")
 
 
-def _log_shifted(lam: float, p: Params) -> float:
-    # log(h**(1/alpha) * lam), the recurring spectral coordinate; a lam below
-    # 1, NaN or inf raises ValueError here
-    return p.log_h_root + math.log(_check_lam(lam))
+def _log_shifted(lam: float, p: Params) -> tuple[float, float]:
+    # lam as a float and its spectral coordinate log(h**(1/alpha) * lam);
+    # _spectral refuses a lam below 1 or NaN, and the estimates need it finite
+    lam = _scalar(_spectral(lam), "lam")
+    if lam == math.inf:
+        raise ValueError("lam must be finite, got inf")
+    return lam, _coordinate(lam, p)
+
+
+def _gamma_pair(big_l: float) -> tuple[float, float]:
+    # sqrt(sqrt(L**2 + pi**2) +- L) at the spectral coordinate L
+    r = math.hypot(big_l, math.pi)
+    return math.sqrt(r + big_l), math.sqrt(r - big_l)
 
 
 def poles(lam: float, p: Params) -> PoleSet:
     """Singularity locations that drive the four estimates at ``lam``."""
     a = p.alpha
-    big_l = _log_shifted(lam, p)
+    big_l = _log_shifted(lam, p)[1]
     return PoleSet(
         z0_I=complex(a * big_l, a * math.pi),
         z0_II=complex(0.0, (1.0 - a) * math.pi),
@@ -128,9 +130,7 @@ def poles(lam: float, p: Params) -> PoleSet:
 def gamma_pm(lam: float, p: Params) -> tuple[float, float]:
     """The pair ``sqrt(sqrt(L**2 + pi**2) +- L)`` with
     ``L = log(h**(1/alpha) * lam)``; the two values multiply to ``pi``."""
-    big_l = _log_shifted(lam, p)
-    r = math.hypot(big_l, math.pi)
-    return math.sqrt(r + big_l), math.sqrt(r - big_l)
+    return _gamma_pair(_log_shifted(lam, p)[1])
 
 
 def lambda_bar(p: Params) -> float:
@@ -141,11 +141,10 @@ def lambda_bar(p: Params) -> float:
 
 
 def lambda_bbar(p: Params) -> float:
-    """Second-integrand regime threshold, clamped below at 1: estimate III
-    applies under it; ``inf`` past double range."""
+    """Second-integrand regime threshold, clamped below at the spectral floor,
+    1: estimate III applies under it; ``inf`` past double range."""
     a = p.alpha
-    raw = _exp(-(2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root)
-    return max(1.0, raw)
+    return max(_SPECTRAL_FLOOR, _exp(-(2.0 * a - 1.0) * math.pi / (2.0 * a * (1.0 - a)) - p.log_h_root))
 
 
 def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
@@ -155,15 +154,20 @@ def q_estimates(lam: float, n: int, p: Params) -> EstimateBreakdown:
     All four are reported; the regime labels say which one is expected to
     track the measured error of each integrand.  Where ``s`` or
     ``h * lam**alpha`` is past double range an estimate takes its 0-limit.
+    ``lam`` must be finite, and an ``alpha`` below ``pi / DBL_MAX``, about
+    1.75e-308, which ``Params`` takes, is refused: ``pi/alpha`` is past
+    double range and ``exp(-i*pi/alpha)`` has no value there.
     These are the paper's estimates: at small alpha (0.01, say) they do not
     track the measured error (ROADMAP item 1).
     """
-    lam = _check_lam(lam)
+    lam, big_l = _log_shifted(lam, p)
     n = _rule_size(n)
     a = p.alpha
+    if not math.pi / a < math.inf:
+        raise ValueError(f"alpha={a!r} is too small for the error estimates: pi/alpha is past double range")
     nbar = 4.0 * n + 2.0
-    gp, gm = gamma_pm(lam, p)
-    s = _exp(_log_shifted(lam, p))  # h**(1/alpha) * lam
+    gp, gm = _gamma_pair(big_l)
+    s = _exp(big_l)  # h**(1/alpha) * lam
     hl = _exp(math.log(p.h) + a * math.log(lam))  # h * lam**alpha
     rot = cmath.exp(1j * a * math.pi)  # principal branch of (-1)**alpha
 

@@ -36,8 +36,8 @@ class Params:
     h: float
 
     def __post_init__(self) -> None:
-        alpha = float(_real(self.alpha, "alpha"))
-        h = float(_real(self.h, "h"))
+        alpha = _scalar(self.alpha, "alpha")
+        h = _scalar(self.h, "h")
         if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
         if not (math.isfinite(h) and h > 0.0):
@@ -85,14 +85,37 @@ def _real(values, what: str) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _scalar(value, what: str) -> float:
+    """The 0-d companion of ``_real``: ``value`` as a float, else ValueError
+    naming it ``what``."""
+    value = _real(value, what)
+    if value.ndim:
+        raise ValueError(f"{what} must be a scalar, got shape {value.shape}")
+    return float(value)
+
+
+# The least spectral point: the representation, the estimates and the rule
+# sizing all assume a spectrum in [_SPECTRAL_FLOOR, inf).  Every check and
+# clamp of it in the package reads it from here.
+_SPECTRAL_FLOOR = 1.0
+
+
 def _spectral(values, what: str = "lam") -> np.ndarray:
-    """``values`` as a float array, refused unless every entry is ``>= 1``;
-    the message names them ``what``."""
+    """``values`` as a float array, refused unless every entry is at least
+    ``_SPECTRAL_FLOOR``; the message names them ``what``.  The one check of
+    the floor: +inf passes it."""
     values = _real(values, what)
     # every comparison with NaN is false, so one comparison per check refuses it
-    if not np.all(values >= 1):
-        raise ValueError(f"{what} must be >= 1")
+    if not np.all(values >= _SPECTRAL_FLOOR):
+        raise ValueError(f"{what} must be >= {_SPECTRAL_FLOOR:g}")
     return values
+
+
+def _coordinate(lam: float, p: Params) -> float:
+    """The spectral coordinate ``log(h**(1/alpha) * lam)`` of a float ``lam``
+    already checked by ``_spectral``; the errors depend on ``lam`` only
+    through it.  +inf gives +inf."""
+    return p.log_h_root + math.log(lam)
 
 
 def _evaluate(kernel, x, lam, p: Params):

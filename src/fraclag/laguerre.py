@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+from .integrands import _scalar
+
 __all__ = [
     "MAX_RULE_SIZE",
     "QuadratureRule",
@@ -153,6 +155,7 @@ def truncation_index(rule: QuadratureRule, s: float) -> int:
     int
         The kept-term count, in ``[1, rule.n]``.
     """
-    if not np.isfinite(s) or s < 0:
+    s = _scalar(s, "s")
+    if not 0.0 <= s < np.inf:
         raise ValueError(f"threshold must be finite and nonnegative, got {s!r}")
     return min(int(np.searchsorted(rule.nodes, s, side="left")) + 1, rule.n)

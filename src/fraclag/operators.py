@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import Params, ShiftedSystem, _real, _spectral
+from .integrands import _SPECTRAL_FLOOR, Params, ShiftedSystem, _real, _scalar, _spectral
 from .planner import Scheme, scheme
 
 __all__ = [
@@ -121,10 +121,9 @@ class DiagonalOperator(OperatorHandle):
 
     def __init__(self, entries: Sequence[float]):
         # a copy: a later write by the caller would make _spans unsound
-        d = np.array(_real(entries, "diagonal entries"), ndmin=1)
+        d = np.array(_spectral(entries, "diagonal entries"), ndmin=1)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("diagonal entries must form a nonempty 1-D sequence")
-        _spectral(d, "diagonal entries")
         d.setflags(write=False)
         self._d = d
         self._infinite = np.flatnonzero(np.isinf(d))
@@ -292,11 +291,12 @@ class DenseOperator(OperatorHandle):
         if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
             raise OperatorError("matrix is not symmetric")
         ev, self._q = np.linalg.eigh(a)
-        # eigh is backward stable, so a spectrum starting at 1 may read up to
-        # about N*eps*max|ev| below it; clamping that is below eigh's own error
-        if ev[0] < 1.0 - ev.size * np.finfo(float).eps * np.abs(ev).max():
-            raise OperatorError(f"matrix spectrum must be >= 1, smallest eigenvalue is {float(ev[0])!r}")
-        self._diag = DiagonalOperator(np.maximum(ev, 1.0))
+        # eigh is backward stable, so a spectrum starting at the floor may read
+        # up to about N*eps*max|ev| below it; clamping that is below eigh's own
+        # error
+        if ev[0] < _SPECTRAL_FLOOR - ev.size * np.finfo(float).eps * np.abs(ev).max():
+            raise OperatorError(f"matrix spectrum must be >= {_SPECTRAL_FLOOR:g}, smallest eigenvalue is {float(ev[0])!r}")
+        self._diag = DiagonalOperator(np.maximum(ev, _SPECTRAL_FLOOR))
 
     @property
     def dimension(self) -> int:
@@ -438,5 +438,5 @@ def apply_resolvent(
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:
     """The method's value at a single eigenvalue: same code path as
     apply_resolvent on a 1x1 diagonal operator."""
-    op = DiagonalOperator([lam])
+    op = DiagonalOperator([_scalar(_spectral(lam), "lam")])
     return float(apply_resolvent(op, np.ones(1), p, n, mode)[0])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _f1, _f2, _real, _spectral, bounds, exact_scalar_resolvent
+from .integrands import Params, _coordinate, _f1, _f2, _real, _scalar, _spectral, bounds, exact_scalar_resolvent
 from .operators import DiagonalOperator, apply_scheme
 from .planner import scheme
 
@@ -65,11 +65,10 @@ SWEEP_HEADER = ("lambda", "err_total", "err_int1", "err_int2",
 
 def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
     """Entrywise resolvent b_i / (1 + h * d_i**alpha); +inf entries map to 0."""
-    d = np.atleast_1d(_real(entries, "diagonal entries"))
+    d = np.atleast_1d(_spectral(entries, "diagonal entries"))
     vec = _real(b, "b")
     if vec.shape != d.shape:
         raise ValueError(f"shape mismatch: entries {d.shape}, vector {vec.shape}")
-    _spectral(d, "diagonal entries")
     # h > 0, so an inf entry gives an inf denominator and a clean 0 quotient
     with np.errstate(over="ignore"):
         return vec / (1.0 + p.h * d**p.alpha)
@@ -77,7 +76,7 @@ def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
 
 def _knee(lam: float, p: Params, which: int) -> float:
     # abscissa where the solve factor switches regimes; a useful breakpoint
-    big_l = p.log_h_root + math.log(lam)
+    big_l = _coordinate(lam, p)
     if which == 1:
         return p.alpha * max(0.0, big_l)
     return (p.alpha + 1.0) * max(0.0, -big_l)
@@ -88,12 +87,11 @@ def _reference_integral(
 ) -> tuple[float, float]:
     """Adaptive quadrature of exp(-x) * f_which over [0, upper].
 
-    quad evaluates only finite x in [0, upper] and ``lam`` is fixed, so the
-    integrand calls the unchecked kernel of f_which; the values are those of
-    f_which bit for bit.
+    quad evaluates only finite x in [0, upper] and ``lam``, which the caller
+    has checked, is fixed, so the integrand calls the unchecked kernel of
+    f_which; the values are those of f_which bit for bit.
     """
     kernel = _f1 if which == 1 else _f2
-    lam = _spectral(lam)[()]
 
     def integrand(x: float) -> float:
         return math.exp(-x) * kernel(np.float64(x), lam, p)
@@ -114,8 +112,10 @@ def representation_check(lam: float, p: Params, tol: float) -> RepresentationChe
     Each integral is evaluated adaptively on [0, X_i] with X_i large enough
     that the tail, bounded by K_i * exp(-X_i), stays below tol/10.
     """
+    tol = _scalar(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    lam = _scalar(_spectral(lam), "lam")
     k1, k2 = bounds(p)
     budget = tol / 10.0
     total = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .estimates import CURVATURE_C, eps1, eps2, n_star, n_star_star, standard_estimate
-from .integrands import Params, ShiftedSystem, bounds, node_system
+from .integrands import Params, ShiftedSystem, _scalar, bounds, node_system
 from .laguerre import _rule_size, gauss_laguerre, truncation_index
 
 __all__ = [
@@ -133,23 +133,23 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     return j_n, j_m
 
 
-def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int], float]:
-    """Rule sizes, kept counts and advertised error of ``mode`` at first-rule
-    size ``n``; the only place a mode is turned into them."""
+def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int], float, tuple[float, float] | None]:
+    """Rule sizes, kept counts, advertised error and node cutoffs of ``mode``
+    at first-rule size ``n``, the cutoffs ``thresholds``' or None outside
+    truncated mode; the only place a mode is turned into them."""
     n = _rule_size(n)
     if mode not in _FIGURE:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     sizes = kept = (n, n) if mode == "standard" else (n, balance_m(n, p))
-    if mode == "truncated":
-        cuts = thresholds(*sizes, p)
+    cuts = thresholds(*sizes, p) if mode == "truncated" else None
+    if cuts:
         kept = tuple(truncation_index(gauss_laguerre(size), s) for size, s in zip(sizes, cuts))
-    return sizes, kept, _FIGURE[mode] * standard_estimate(n, p)
+    return sizes, kept, _FIGURE[mode] * standard_estimate(n, p), cuts
 
 
 def make_plan(n: int, p: Params) -> Plan:
     """Full sizing decision for a truncated resolvent application at size ``n``."""
-    (n, m), (k_n, k_m), error = _sized(n, p, "truncated")
-    s1, s2 = thresholds(n, m, p)
+    (n, m), (k_n, k_m), error, (s1, s2) = _sized(n, p, "truncated")
     j_n, j_m = analytic_j(n, m, p)
     return Plan(
         n=n,
@@ -192,7 +192,8 @@ def asymptotic_estimates(q: int, p: Params) -> tuple[float, float]:
     These express accuracy as a function of the number of inversions alone,
     for comparing the balanced and truncated strategies at equal cost.
     """
-    if q < 1:
+    q = _scalar(q, "q")
+    if not q >= 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
     a = p.alpha
     pi = math.pi
@@ -205,6 +206,7 @@ def asymptotic_estimates(q: int, p: Params) -> tuple[float, float]:
 
 def plan_for_tolerance(tol: float, p: Params) -> Plan:
     """Smallest-``n`` plan, ``n <= 2000``, whose predicted error meets ``tol``."""
+    tol = _scalar(tol, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     for n in range(1, _TOL_PLAN_MAX + 1):
@@ -236,7 +238,7 @@ def scheme(n: int, p: Params, mode: str) -> Scheme:
     """The scheme of ``mode`` at first-rule size ``n``: ``_sized``'s sizes,
     kept counts and advertised error, and the shifted system of every kept
     node."""
-    sizes, kept, error = _sized(n, p, mode)
+    sizes, kept, error, _ = _sized(n, p, mode)
     systems: list[ShiftedSystem] = []
     for size, count, which in zip(sizes, kept, ("first", "second")):
         rule = gauss_laguerre(size)
@@ -249,5 +251,5 @@ def scheme(n: int, p: Params, mode: str) -> Scheme:
 def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """``scheme(n, p, mode)``'s sizes and kept counts, read from ``_sized``
     without building any node system; kept because the benchmark imports it."""
-    sizes, kept, _ = _sized(n, p, mode)
+    sizes, kept, _, _ = _sized(n, p, mode)
     return sizes, kept

@@ -281,6 +281,16 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, message
     assert not out.exists()
 
 
+def test_scalar_sweep_refuses_an_alpha_too_small_for_the_estimates(tmp_path, capsys):
+    # alpha = 5e-324 passes the flag check, and apply handles it, but the
+    # sweep's estimates need pi/alpha in double range
+    out = tmp_path / "s.csv"
+    code = main(["scalar-sweep", "--alpha", "5e-324", "--h", "1", "--n", "5", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: alpha=5e-324 is too small for the error estimates")
+    assert not out.exists()
+
+
 def test_bad_alpha_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--alpha", "1.5", "--h", "1.0", "--n", "5"])

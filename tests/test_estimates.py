@@ -1,10 +1,12 @@
 """Tests for pole geometry, widths and the a-priori error sequences."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from fraclag import estimates
 from fraclag.estimates import (
     CURVATURE_C,
     eps1,
@@ -331,3 +333,32 @@ def test_rejects_bad_lambda(lam):
         poles(lam, p)
     with pytest.raises(ValueError):
         q_estimates(lam, 10, p)
+
+
+def test_estimates_refuse_an_infinite_lambda():
+    # _spectral lets +inf through; the estimates need lam finite
+    p = Params(0.5, 1.0)
+    for estimate in (poles, gamma_pm, lambda lam, p: q_estimates(lam, 10, p)):
+        with pytest.raises(ValueError, match="^lam must be finite, got inf$"):
+            estimate(math.inf, p)
+
+
+def test_q_estimates_check_lambda_once_and_derive_its_coordinate_once(monkeypatch):
+    checks, coordinates = [], []
+    spectral, coordinate = estimates._spectral, estimates._coordinate
+    monkeypatch.setattr(estimates, "_spectral", lambda lam: checks.append(lam) or spectral(lam))
+    monkeypatch.setattr(estimates, "_coordinate", lambda lam, p: coordinates.append(lam) or coordinate(lam, p))
+    q_estimates(1e4, 30, Params(0.5, 0.01))
+    assert checks == coordinates == [1e4]
+
+
+def test_q_estimates_refuse_an_alpha_whose_pi_over_alpha_overflows():
+    # Params takes a subnormal alpha, and scheme and apply handle it, but
+    # exp(-i*pi/alpha) has no value there
+    p = Params(5e-324, 1.0)
+    with pytest.raises(ValueError, match=r"^alpha=5e-324 is too small for the error estimates"):
+        q_estimates(1.0, 50, p)
+    # the smallest alpha with pi/alpha in range still gets estimates
+    tiny = math.nextafter(math.pi / sys.float_info.max, 1.0)
+    q = q_estimates(1.0, 50, Params(tiny, 1.0))
+    assert all(0.0 <= v < math.inf for v in (q.q_I, q.q_II, q.q_III, q.q_IV))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fraclag.estimates import q_estimates
+from fraclag.estimates import gamma_pm, poles, q_estimates
 from fraclag.integrands import Params, ShiftedSystem, bounds, exact_scalar_resolvent, f1, f2
-from fraclag.operators import DenseOperator, DiagonalOperator, apply_resolvent
-from fraclag.oracle import error_sweep, exact_diagonal_apply
+from fraclag.laguerre import gauss_laguerre, truncation_index
+from fraclag.operators import DenseOperator, DiagonalOperator, apply_resolvent, scalar_approx
+from fraclag.oracle import error_sweep, exact_diagonal_apply, representation_check
+from fraclag.planner import asymptotic_estimates, plan_for_tolerance
 
 # High-precision references (mpmath, 50 digits, rounded to double).
 F1_X1_LAM10_A03_H001 = 0.63783498435673219364
@@ -241,6 +243,32 @@ def test_complex_and_text_inputs_are_refused(entry, kind):
 def test_object_inputs_are_refused():
     with pytest.raises(ValueError, match="^diagonal entries must be real, got dtype object"):
         DiagonalOperator([Fraction(2), Fraction(3)])
+
+
+# every argument that takes one number, given text, an array of one or more
+# entries, or an integer past 64 bits, which numpy holds as an object
+_SCALAR_INPUTS = [
+    ("Params-alpha", lambda v: Params(v, 0.1), "alpha", np.array([0.5])),
+    ("Params-h", lambda v: Params(0.5, v), "h", np.array([0.1])),
+    ("q_estimates-lam", lambda v: q_estimates(v, 10, _P), "lam", np.array([2.0])),
+    ("poles-lam", lambda v: poles(v, _P), "lam", np.array([2.0])),
+    ("gamma_pm-lam", lambda v: gamma_pm(v, _P), "lam", "2"),
+    ("plan_for_tolerance-tol-text", lambda v: plan_for_tolerance(v, _P), "tol", "1e-6"),
+    ("plan_for_tolerance-tol-array", lambda v: plan_for_tolerance(v, _P), "tol", np.array([1e-6, 1e-3])),
+    ("representation_check-lam", lambda v: representation_check(v, _P, 1e-8), "lam", np.array([2.0])),
+    ("representation_check-tol", lambda v: representation_check(2.0, _P, v), "tol", "1e-8"),
+    ("truncation_index-s", lambda v: truncation_index(gauss_laguerre(5), v), "s", "1"),
+    ("asymptotic_estimates-q-text", lambda v: asymptotic_estimates(v, _P), "q", "3"),
+    ("asymptotic_estimates-q-huge", lambda v: asymptotic_estimates(v, _P), "q", 10**400),
+    ("scalar_approx-lam", lambda v: scalar_approx(v, _P, 5), "lam", np.array([2.0])),
+]
+
+
+@pytest.mark.parametrize("call,name,value", [case[1:] for case in _SCALAR_INPUTS],
+                         ids=[case[0] for case in _SCALAR_INPUTS])
+def test_scalar_arguments_are_refused_with_their_name(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be (real|a scalar), got"):
+        call(value)
 
 
 def test_error_sweep_takes_any_iterable_of_reals():

@@ -801,6 +801,15 @@ def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     assert started == list(range(k + 1))
 
 
+def test_usable_cores_fall_back_to_cpu_count(monkeypatch):
+    # where os.sched_getaffinity is missing, as on macOS and Windows
+    monkeypatch.delattr(operators.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(operators.os, "cpu_count", lambda: 3)
+    assert operators._usable_cores() == 3
+    monkeypatch.setattr(operators.os, "cpu_count", lambda: None)
+    assert operators._usable_cores() == 1
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_one_block_diagonal_starts_no_thread(monkeypatch, cores):
     # the pool starts a thread only for a part it is given

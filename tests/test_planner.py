@@ -140,17 +140,27 @@ def test_kept_term_counts_degenerate():
     assert jm == 1
 
 
-def test_kept_term_fallback_for_large_h():
-    # h >= 1 can push the second-integral bracket negative; the analytic
-    # count then falls back to the numeric truncation index.
-    p = Params(0.5, 100.0)
-    n, m = 20, balance_m(20, p)
+def test_kept_term_fallback_for_large_h(monkeypatch):
+    # h >= 1 can push the second-integral bracket negative (at h = 1000, not
+    # yet at h = 100); the analytic count then falls back to the numeric
+    # truncation index of the m-point rule, make_plan's k_m
+    p = Params(0.5, 1000.0)
+    n, m = 10, balance_m(10, p)
+    ruled = []
+    count = planner.truncation_index
+    monkeypatch.setattr(planner, "truncation_index", lambda rule, s: ruled.append(rule.n) or count(rule, s))
     _, jm = analytic_j(n, m, p)
-    _, s2 = thresholds(n, m, p)
-    from fraclag.laguerre import truncation_index
+    assert ruled == [m]
+    assert jm == make_plan(n, p).k_m
 
-    k_m = truncation_index(gauss_laguerre(m), s2)
-    assert jm == k_m
+
+def test_make_plan_evaluates_thresholds_once(monkeypatch):
+    cuts = []
+    real = planner.thresholds
+    monkeypatch.setattr(planner, "thresholds", lambda *args: cuts.append(args) or real(*args))
+    plan = make_plan(50, Params(0.5, 0.01))
+    assert len(cuts) == 1
+    assert (plan.s1, plan.s2) == real(*cuts[0])
 
 
 def test_make_plan_reference_configuration():
