@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .integrands import _SPECTRAL_FLOOR, Params, _coordinate, _scalar, _spectral
+from .integrands import _SPECTRAL_FLOOR, Params, _coordinate, _spectral_scalar
 from .laguerre import _rule_size
 
 __all__ = [
@@ -102,8 +102,8 @@ def _quotient(num: float, den: float, lam: float) -> float:
 
 def _log_shifted(lam: float, p: Params) -> tuple[float, float]:
     # lam as a float and its spectral coordinate log(h**(1/alpha) * lam);
-    # _spectral refuses a lam below 1 or NaN, and the estimates need it finite
-    lam = _scalar(_spectral(lam), "lam")
+    # _spectral_scalar refuses a lam below 1 or NaN, and the estimates need it finite
+    lam = _spectral_scalar(lam)
     if lam == math.inf:
         raise ValueError("lam must be finite, got inf")
     return lam, _coordinate(lam, p)

@@ -111,6 +111,12 @@ def _spectral(values, what: str = "lam") -> np.ndarray:
     return values
 
 
+def _spectral_scalar(lam) -> float:
+    """One spectral point ``lam`` as a float: real, at least the floor
+    (``_spectral``) and 0-d (``_scalar``), checked in that order."""
+    return _scalar(_spectral(lam), "lam")
+
+
 def _coordinate(lam: float, p: Params) -> float:
     """The spectral coordinate ``log(h**(1/alpha) * lam)`` of a float ``lam``
     already checked by ``_spectral``; the errors depend on ``lam`` only

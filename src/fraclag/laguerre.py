@@ -157,5 +157,5 @@ def truncation_index(rule: QuadratureRule, s: float) -> int:
     """
     s = _scalar(s, "s")
     if not 0.0 <= s < np.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {s!r}")
+        raise ValueError(f"s must be finite and nonnegative, got {s!r}")
     return min(int(np.searchsorted(rule.nodes, s, side="left")) + 1, rule.n)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrands import _SPECTRAL_FLOOR, Params, ShiftedSystem, _real, _scalar, _spectral
+from .integrands import _SPECTRAL_FLOOR, Params, ShiftedSystem, _real, _spectral, _spectral_scalar
 from .planner import Scheme, scheme
 
 __all__ = [
@@ -438,5 +438,5 @@ def apply_resolvent(
 def scalar_approx(lam: float, p: Params, n: int, mode: str = "standard") -> float:
     """The method's value at a single eigenvalue: same code path as
     apply_resolvent on a 1x1 diagonal operator."""
-    op = DiagonalOperator([_scalar(_spectral(lam), "lam")])
+    op = DiagonalOperator([_spectral_scalar(lam)])
     return float(apply_resolvent(op, np.ones(1), p, n, mode)[0])

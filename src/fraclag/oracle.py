@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _coordinate, _f1, _f2, _real, _scalar, _spectral, bounds, exact_scalar_resolvent
+from .integrands import Params, _coordinate, _f1, _f2, _real, _scalar, _spectral, _spectral_scalar, bounds, exact_scalar_resolvent
 from .operators import DiagonalOperator, apply_scheme
 from .planner import scheme
 
@@ -115,7 +115,7 @@ def representation_check(lam: float, p: Params, tol: float) -> RepresentationChe
     tol = _scalar(tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    lam = _scalar(_spectral(lam), "lam")
+    lam = _spectral_scalar(lam)
     k1, k2 = bounds(p)
     budget = tol / 10.0
     total = 0.0

@@ -336,7 +336,7 @@ def test_rejects_bad_lambda(lam):
 
 
 def test_estimates_refuse_an_infinite_lambda():
-    # _spectral lets +inf through; the estimates need lam finite
+    # _spectral_scalar lets +inf through; the estimates need lam finite
     p = Params(0.5, 1.0)
     for estimate in (poles, gamma_pm, lambda lam, p: q_estimates(lam, 10, p)):
         with pytest.raises(ValueError, match="^lam must be finite, got inf$"):
@@ -345,8 +345,8 @@ def test_estimates_refuse_an_infinite_lambda():
 
 def test_q_estimates_check_lambda_once_and_derive_its_coordinate_once(monkeypatch):
     checks, coordinates = [], []
-    spectral, coordinate = estimates._spectral, estimates._coordinate
-    monkeypatch.setattr(estimates, "_spectral", lambda lam: checks.append(lam) or spectral(lam))
+    spectral, coordinate = estimates._spectral_scalar, estimates._coordinate
+    monkeypatch.setattr(estimates, "_spectral_scalar", lambda lam: checks.append(lam) or spectral(lam))
     monkeypatch.setattr(estimates, "_coordinate", lambda lam, p: coordinates.append(lam) or coordinate(lam, p))
     q_estimates(1e4, 30, Params(0.5, 0.01))
     assert checks == coordinates == [1e4]

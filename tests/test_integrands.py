@@ -246,7 +246,8 @@ def test_object_inputs_are_refused():
 
 
 # every argument that takes one number, given text, an array of one or more
-# entries, or an integer past 64 bits, which numpy holds as an object
+# entries, or an integer past 64 bits, which numpy holds as an object; and
+# truncation_index's s out of its range, which names it the same way
 _SCALAR_INPUTS = [
     ("Params-alpha", lambda v: Params(v, 0.1), "alpha", np.array([0.5])),
     ("Params-h", lambda v: Params(0.5, v), "h", np.array([0.1])),
@@ -258,6 +259,8 @@ _SCALAR_INPUTS = [
     ("representation_check-lam", lambda v: representation_check(v, _P, 1e-8), "lam", np.array([2.0])),
     ("representation_check-tol", lambda v: representation_check(2.0, _P, v), "tol", "1e-8"),
     ("truncation_index-s", lambda v: truncation_index(gauss_laguerre(5), v), "s", "1"),
+    ("truncation_index-s-negative", lambda v: truncation_index(gauss_laguerre(5), v), "s", -1.0),
+    ("truncation_index-s-inf", lambda v: truncation_index(gauss_laguerre(5), v), "s", math.inf),
     ("asymptotic_estimates-q-text", lambda v: asymptotic_estimates(v, _P), "q", "3"),
     ("asymptotic_estimates-q-huge", lambda v: asymptotic_estimates(v, _P), "q", 10**400),
     ("scalar_approx-lam", lambda v: scalar_approx(v, _P, 5), "lam", np.array([2.0])),
@@ -267,7 +270,7 @@ _SCALAR_INPUTS = [
 @pytest.mark.parametrize("call,name,value", [case[1:] for case in _SCALAR_INPUTS],
                          ids=[case[0] for case in _SCALAR_INPUTS])
 def test_scalar_arguments_are_refused_with_their_name(call, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be (real|a scalar), got"):
+    with pytest.raises(ValueError, match=f"^{name} must be (real|a scalar|finite and nonnegative), got"):
         call(value)
 
 

@@ -140,7 +140,20 @@ def test_kept_term_counts_degenerate():
     assert jm == 1
 
 
-def test_kept_term_fallback_for_large_h(monkeypatch):
+def test_kept_term_fallback_for_large_h():
+    # at h = 100 the closed-form second-integral count is still exact: it
+    # equals the numeric truncation index of the m-point rule
+    p = Params(0.5, 100.0)
+    n, m = 20, balance_m(20, p)
+    _, jm = analytic_j(n, m, p)
+    _, s2 = thresholds(n, m, p)
+    from fraclag.laguerre import truncation_index
+
+    k_m = truncation_index(gauss_laguerre(m), s2)
+    assert jm == k_m
+
+
+def test_kept_term_numeric_fallback_matches_make_plan(monkeypatch):
     # h >= 1 can push the second-integral bracket negative (at h = 1000, not
     # yet at h = 100); the analytic count then falls back to the numeric
     # truncation index of the m-point rule, make_plan's k_m
