@@ -19,7 +19,7 @@ from .integrands import _SPECTRAL_FLOOR, Params
 from .laguerre import MAX_RULE_SIZE
 from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_scheme
 from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
-from .planner import MODES, make_plan, plan_for_tolerance, scheme
+from .planner import MODES, make_plan, mode_counts, plan_for_tolerance, scheme
 
 __all__ = ["main", "build_parser", "benchmark_diagonal"]
 
@@ -161,7 +161,7 @@ def _cmd_apply(args, p: Params) -> int:
     b = io.read_vector(args.vector_file)
     ran = scheme(args.n, p, args.mode)
     io.write_vector(args.out, apply_scheme(op, b, ran))
-    (n, m), (k_n, k_m) = ran.sizes, ran.kept
+    (n, m), (k_n, k_m) = mode_counts(args.n, p, args.mode)
     print(
         f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={ran.solves} "
         f"predicted_error={ran.predicted_error:.6e}",

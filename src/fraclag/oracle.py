@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .estimates import q_estimates
 from .integrands import Params, _coordinate, _f1, _f2, _real, _scalar, _spectral, _spectral_scalar, bounds, exact_scalar_resolvent
 from .operators import DiagonalOperator, apply_scheme
-from .planner import scheme
+from .planner import mode_counts, scheme
 
 __all__ = [
     "OracleError",
@@ -64,11 +64,14 @@ SWEEP_HEADER = ("lambda", "err_total", "err_int1", "err_int2",
 
 
 def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
-    """Entrywise resolvent b_i / (1 + h * d_i**alpha); +inf entries map to 0."""
+    """Entrywise resolvent b_i / (1 + h * d_i**alpha) of a finite ``b``;
+    +inf entries map to 0."""
     d = np.atleast_1d(_spectral(entries, "diagonal entries"))
     vec = _real(b, "b")
     if vec.shape != d.shape:
         raise ValueError(f"shape mismatch: entries {d.shape}, vector {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("b must be finite")
     # h > 0, so an inf entry gives an inf denominator and a clean 0 quotient
     with np.errstate(over="ignore"):
         return vec / (1.0 + p.h * d**p.alpha)
@@ -153,13 +156,21 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     per-integral quadrature errors against adaptive references, and the four
     modulus estimates with their active regimes.  Each quadrature sum is the
     grid's ``DiagonalOperator.apply_sum`` over that integral's systems of
-    ``scheme(n, p, mode)``, which the total's approximation also sums.
+    ``scheme(n, p, mode)``, which the total's approximation also sums; the
+    first ``k1`` of ``mode_counts``' kept counts ``(k1, k2)`` are the first
+    integral's.  ``lambda_grid`` must be a 1-D sequence of finite spectral
+    points.
     """
-    grid = _real(list(lambda_grid), "lambda_grid").tolist()
+    grid = _spectral(list(lambda_grid), "lambda_grid")
+    if grid.ndim != 1:
+        raise ValueError(f"lambda_grid must be 1-D, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("lambda_grid must be finite")
+    grid = grid.tolist()
     if not grid:
         return []
     built = scheme(n, p, mode)
-    (n1, n2), k1 = built.sizes, built.kept[0]
+    (n1, n2), (k1, _) = mode_counts(n, p, mode)
     op, ones = DiagonalOperator(grid), np.ones(len(grid))
     approx = apply_scheme(op, ones, built)
     sums1 = op.apply_sum(built.systems[:k1], ones)

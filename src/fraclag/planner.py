@@ -66,8 +66,6 @@ class Plan:
     k_m: int
     j_n: int
     j_m: int
-    s1: float
-    s2: float
     predicted_error: float
 
     @property
@@ -133,23 +131,22 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
     return j_n, j_m
 
 
-def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int], float, tuple[float, float] | None]:
-    """Rule sizes, kept counts, advertised error and node cutoffs of ``mode``
-    at first-rule size ``n``, the cutoffs ``thresholds``' or None outside
-    truncated mode; the only place a mode is turned into them."""
+def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """Rule sizes, kept counts and advertised error of ``mode`` at first-rule
+    size ``n``; the only place a mode is turned into them."""
     n = _rule_size(n)
     if mode not in _FIGURE:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     sizes = kept = (n, n) if mode == "standard" else (n, balance_m(n, p))
-    cuts = thresholds(*sizes, p) if mode == "truncated" else None
-    if cuts:
-        kept = tuple(truncation_index(gauss_laguerre(size), s) for size, s in zip(sizes, cuts))
-    return sizes, kept, _FIGURE[mode] * standard_estimate(n, p), cuts
+    if mode == "truncated":
+        kept = tuple(truncation_index(gauss_laguerre(size), s) for size, s in zip(sizes, thresholds(*sizes, p)))
+    return sizes, kept, _FIGURE[mode] * standard_estimate(n, p)
 
 
 def make_plan(n: int, p: Params) -> Plan:
-    """Full sizing decision for a truncated resolvent application at size ``n``."""
-    (n, m), (k_n, k_m), error, (s1, s2) = _sized(n, p, "truncated")
+    """Full sizing decision for a truncated resolvent application at size
+    ``n``; its node cutoffs are ``thresholds(n, m, p)``."""
+    (n, m), (k_n, k_m), error = _sized(n, p, "truncated")
     j_n, j_m = analytic_j(n, m, p)
     return Plan(
         n=n,
@@ -158,8 +155,6 @@ def make_plan(n: int, p: Params) -> Plan:
         k_m=k_m,
         j_n=j_n,
         j_m=j_m,
-        s1=s1,
-        s2=s2,
         predicted_error=error,
     )
 
@@ -216,40 +211,42 @@ def plan_for_tolerance(tol: float, p: Params) -> Plan:
 
 
 class Scheme(NamedTuple):
-    """Rule sizes ``(n1, n2)`` of the two integrands, the leading nodes
-    ``(k1, k2)`` of each rule that become shifted solves, the a-priori
-    error estimate the mode advertises, the shifted system of every kept
-    node in solve order (the first rule's, then the second's) and the
-    ``Params`` they were built for."""
+    """A weighted sum of shifted systems: the resolvent approximation is
+    ``params.prefactor * sum_j scale_j * (sigma_j*I + tau_j*L)^{-1} b``, one
+    shifted solve per system, in the order of ``systems``, with the error
+    ``predicted_error`` advertised for it.  ``scheme`` builds the
+    Gauss-Laguerre ones, but the systems may come from anywhere."""
 
-    sizes: tuple[int, int]
-    kept: tuple[int, int]
-    predicted_error: float
     systems: tuple[ShiftedSystem, ...]
     params: Params
+    predicted_error: float
 
     @property
     def solves(self) -> int:
-        """Shifted solves per application, one per kept node."""
-        return sum(self.kept)
+        """Shifted solves per application, one per system."""
+        return len(self.systems)
 
 
 def scheme(n: int, p: Params, mode: str) -> Scheme:
-    """The scheme of ``mode`` at first-rule size ``n``: ``_sized``'s sizes,
-    kept counts and advertised error, and the shifted system of every kept
-    node."""
-    sizes, kept, error, _ = _sized(n, p, mode)
+    """The scheme of ``mode`` at first-rule size ``n``: the shifted system of
+    every node ``_sized`` keeps, the first rule's then the second's, and the
+    error it advertises.  ``mode_counts`` gives the rule sizes and kept
+    counts behind it."""
+    sizes, kept, error = _sized(n, p, mode)
     systems: list[ShiftedSystem] = []
     for size, count, which in zip(sizes, kept, ("first", "second")):
         rule = gauss_laguerre(size)
         # Python floats: at a subnormal alpha, -x/alpha saturates to -inf with no numpy warning
         nodes, weights = rule.nodes[:count].tolist(), rule.weights[:count].tolist()
         systems.extend(node_system(x, w, which, p) for x, w in zip(nodes, weights))
-    return Scheme(sizes, kept, error, tuple(systems), p)
+    return Scheme(tuple(systems), p, error)
 
 
 def mode_counts(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """``scheme(n, p, mode)``'s sizes and kept counts, read from ``_sized``
-    without building any node system; kept because the benchmark imports it."""
-    sizes, kept, _, _ = _sized(n, p, mode)
+    """The rule sizes ``(n1, n2)`` of the two integrands behind
+    ``scheme(n, p, mode)`` and the leading nodes ``(k1, k2)`` of each that
+    become its systems, so ``k1 + k2`` is its solve count and its first
+    ``k1`` systems are the first rule's; read from ``_sized`` without
+    building any node system."""
+    sizes, kept, _ = _sized(n, p, mode)
     return sizes, kept

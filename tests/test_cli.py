@@ -9,7 +9,7 @@ import pytest
 from fraclag import cli, operators, oracle, planner
 from fraclag.cli import main
 from fraclag.integrands import Params
-from fraclag.planner import MODES, make_plan, scheme
+from fraclag.planner import MODES, make_plan, mode_counts, scheme
 
 
 def _read_csv(path):
@@ -149,7 +149,7 @@ def test_apply_reports_the_scheme_that_ran(tmp_path, capsys, mode):
     ])
     assert code == 0
     s = scheme(40, Params(0.5, 0.01), mode)
-    (n, m), (k_n, k_m) = s.sizes, s.kept
+    (n, m), (k_n, k_m) = mode_counts(40, Params(0.5, 0.01), mode)
     assert capsys.readouterr().err == (
         f"plan: n={n} m={m} k_n={k_n} k_m={k_m} solves={s.solves} "
         f"predicted_error={s.predicted_error:.6e}\n"

@@ -15,7 +15,7 @@ from fraclag import operators  # noqa: E402
 from fraclag.estimates import standard_estimate  # noqa: E402
 from fraclag.integrands import Params, ShiftedSystem  # noqa: E402
 from fraclag.operators import _BLOCK, DiagonalOperator, OperatorHandle, apply_resolvent  # noqa: E402
-from fraclag.planner import MODES, scheme  # noqa: E402
+from fraclag.planner import MODES, mode_counts, scheme  # noqa: E402
 
 # each mode's advertised error as a multiple of the standard figure
 _FIGURE_FACTOR = {"standard": 1.0, "balanced": 2.0, "truncated": 4.0}
@@ -36,9 +36,10 @@ def accepted_params(draw):
 @given(p=accepted_params(), n=st.integers(1, 200), mode=st.sampled_from(MODES))
 def test_scheme_contract(p, n, mode):
     s = scheme(n, p, mode)
-    assert len(s.systems) == s.solves == sum(s.kept)
-    assert s.sizes[0] == n and s.sizes[1] <= n
-    assert all(1 <= k <= size for k, size in zip(s.kept, s.sizes))
+    sizes, kept = mode_counts(n, p, mode)
+    assert len(s.systems) == s.solves == sum(kept)
+    assert sizes[0] == n and sizes[1] <= n
+    assert all(1 <= k <= size for k, size in zip(kept, sizes))
     for system in s.systems:
         for value in (system.sigma, system.tau, system.scale):
             assert math.isfinite(value) and value >= 0.0

@@ -27,7 +27,7 @@ from fraclag.operators import (
     apply_scheme,
     scalar_approx,
 )
-from fraclag.planner import MODES, balanced_estimate, make_plan, mode_counts, scheme
+from fraclag.planner import MODES, Scheme, balanced_estimate, make_plan, mode_counts, scheme
 
 
 def test_node_system_first_integral_origin():
@@ -86,8 +86,7 @@ def test_mode_counts():
     }
     for mode in MODES:
         s = scheme(25, p, mode)
-        assert (s.sizes, s.kept) == mode_counts(25, p, mode)
-        assert s.solves == sum(s.kept)
+        assert s.solves == sum(mode_counts(25, p, mode)[1])
         assert s.predicted_error == advertised[mode]
 
 
@@ -95,13 +94,44 @@ def test_mode_counts():
 def test_scheme_systems_are_the_kept_nodes(mode):
     p = Params(0.6, 0.01)
     s = scheme(30, p, mode)
-    assert len(s.systems) == s.solves
+    sizes, kept = mode_counts(30, p, mode)
+    assert len(s.systems) == s.solves == sum(kept)
     want = []
-    for size, count, which in zip(s.sizes, s.kept, ("first", "second")):
+    for size, count, which in zip(sizes, kept, ("first", "second")):
         rule = gauss_laguerre(size)
         want += [node_system(rule.nodes[j], rule.weights[j], which, p) for j in range(count)]
     assert list(s.systems) == want
-    assert s[:2] == mode_counts(30, p, mode)
+
+
+def test_a_scheme_is_any_set_of_systems():
+    # systems no Gauss-Laguerre rule gives, with sigma = 0 and the identity
+    # solve among them, apply as the weighted sum they define
+    rng = np.random.default_rng(21)
+    systems = tuple(
+        ShiftedSystem(sigma, tau, scale)
+        for sigma, tau, scale in zip(rng.uniform(0.5, 2.0, 7), 10.0 ** rng.uniform(-3, 1, 7), rng.uniform(0.1, 1.0, 7))
+    ) + (ShiftedSystem(0.0, 0.7, 0.3), ShiftedSystem(1.0, 1e-30, 0.2))
+    p = Params(0.3, 2.0)
+    built = Scheme(systems=systems, params=p, predicted_error=1e-3)
+    assert Scheme._fields == ("systems", "params", "predicted_error")
+    assert built.solves == len(systems) == 9
+
+    ev = np.linspace(1.0, 100.0, 40)
+    b = rng.standard_normal(ev.size)
+    q, _ = np.linalg.qr(rng.standard_normal((ev.size, ev.size)))
+
+    def eigenbasis_sum(c):
+        return p.prefactor * sum(s.scale * c / (s.sigma + s.tau * ev) for s in systems)
+
+    dense = q @ np.diag(ev) @ q.T
+    cases = [
+        (DiagonalOperator(ev), eigenbasis_sum(b)),
+        (DenseOperator((dense + dense.T) / 2.0), q @ eigenbasis_sum(q.T @ b)),
+        (CallbackOperator(ev.size, lambda sigma, tau, rhs: rhs / (sigma + tau * ev)), eigenbasis_sum(b)),
+    ]
+    for op, want in cases:
+        got = apply_scheme(op, b, built)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_mode_counts_rejects_unknown_mode():

@@ -17,7 +17,7 @@ from fraclag.oracle import (
     exact_diagonal_apply,
     representation_check,
 )
-from fraclag.planner import scheme
+from fraclag.planner import mode_counts
 
 
 def test_exact_diagonal_apply_simple():
@@ -41,6 +41,18 @@ def test_exact_diagonal_apply_validation():
         exact_diagonal_apply([0.5], np.ones(1), p)
     with pytest.raises(ValueError):
         exact_diagonal_apply([2.0, float("nan")], np.ones(2), p)
+
+
+@pytest.mark.parametrize(
+    "entries,b",
+    [([math.inf], [math.inf]), ([4.0], [math.nan]), ([1.0, 2.0], [1.0, -math.inf])],
+    ids=["inf-over-inf", "nan", "minus-inf"],
+)
+def test_exact_diagonal_apply_refuses_a_non_finite_b(entries, b):
+    # apply_scheme refuses the same b, so the reference and the method
+    # agree on what they accept
+    with pytest.raises(ValueError, match="^b must be finite$"):
+        exact_diagonal_apply(entries, b, Params(0.5, 0.01))
 
 
 @pytest.mark.parametrize(
@@ -192,10 +204,10 @@ def test_error_sweep_rule_sums_are_the_kept_quadratures(mode):
     # the sums are below 0.79 here, and 3 of their ulps (2**-53) apart at most
     p, n = Params(0.5, 0.01), 50
     grid = list(10.0 ** np.linspace(0, 16, 20))
-    built = scheme(n, p, mode)
+    sizes, counts = mode_counts(n, p, mode)
     for rec in error_sweep(p, n, grid, mode):
         for which, f, size, kept, err in zip(
-            (1, 2), (f1, f2), built.sizes, built.kept, (rec.err_int1, rec.err_int2)
+            (1, 2), (f1, f2), sizes, counts, (rec.err_int1, rec.err_int2)
         ):
             rule = gauss_laguerre(size)
             quadrature = float(rule.weights[:kept] @ f(rule.nodes[:kept], rec.lam, p))
@@ -211,3 +223,18 @@ def test_error_sweep_rejects_bad_grid():
     p = Params(0.5, 1.0)
     with pytest.raises(ValueError):
         error_sweep(p, 10, [0.5])
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ([0.5], "lambda_grid must be >= 1"),
+        ([math.nan], "lambda_grid must be >= 1"),
+        ([math.inf], "lambda_grid must be finite"),
+        ([[2.0, 3.0]], r"lambda_grid must be 1-D, got shape \(1, 2\)"),
+    ],
+    ids=["below-floor", "nan", "inf", "2-D"],
+)
+def test_error_sweep_refusals_name_lambda_grid(grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        error_sweep(Params(0.5, 0.01), 10, grid)

@@ -1,5 +1,6 @@
 """Tests for rule balancing, truncation thresholds and plan assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -171,9 +172,9 @@ def test_make_plan_evaluates_thresholds_once(monkeypatch):
     cuts = []
     real = planner.thresholds
     monkeypatch.setattr(planner, "thresholds", lambda *args: cuts.append(args) or real(*args))
-    plan = make_plan(50, Params(0.5, 0.01))
-    assert len(cuts) == 1
-    assert (plan.s1, plan.s2) == real(*cuts[0])
+    p = Params(0.5, 0.01)
+    plan = make_plan(50, p)
+    assert cuts == [(plan.n, plan.m, p)]
 
 
 def test_make_plan_reference_configuration():
@@ -186,14 +187,17 @@ def test_make_plan_reference_configuration():
 
 
 def test_make_plan_structure():
-    plan = make_plan(30, Params(0.5, 0.01))
+    p = Params(0.5, 0.01)
+    plan = make_plan(30, p)
     assert isinstance(plan, Plan)
+    assert [f.name for f in dataclasses.fields(plan)] == ["n", "m", "k_n", "k_m", "j_n", "j_m", "predicted_error"]
     assert 1 <= plan.m <= plan.n
     assert 1 <= plan.k_n <= plan.n
     assert 1 <= plan.k_m <= plan.m
     assert 1 <= plan.j_n <= plan.n
     assert 1 <= plan.j_m <= plan.m
-    assert plan.s1 >= 0 and plan.s2 >= 0
+    s1, s2 = thresholds(plan.n, plan.m, p)
+    assert s1 >= 0 and s2 >= 0
     assert plan.predicted_error > 0
     assert plan.inversions == plan.k_n + plan.k_m
 
@@ -345,6 +349,7 @@ def test_truncated_scheme_does_not_compute_analytic_j(h, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_mode_counts_builds_no_systems(mode, monkeypatch):
     p = Params(0.75, 1.0)
-    want = [scheme(n, p, mode)[:2] for n in (1, 25, 120)]
+    want = [mode_counts(n, p, mode) for n in (1, 25, 120)]
+    assert [sum(kept) for _, kept in want] == [scheme(n, p, mode).solves for n in (1, 25, 120)]
     monkeypatch.setattr(planner, "node_system", _refuse("node_system"))
     assert [mode_counts(n, p, mode) for n in (1, 25, 120)] == want
