@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_sch
 from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
 from .planner import MODES, make_plan, mode_counts, plan_for_tolerance, scheme
 
-__all__ = ["main", "build_parser", "benchmark_diagonal"]
+__all__ = ["main", "run", "build_parser", "benchmark_diagonal"]
 
 
 class UsageError(Exception):
@@ -91,7 +93,12 @@ def _emit(out, header, rows) -> None:
 def _cmd_scalar_sweep(args, p: Params) -> int:
     if args.lambda_max < args.lambda_min:
         raise UsageError("--lambda-max must be >= --lambda-min")
-    grid = np.logspace(math.log10(args.lambda_min), math.log10(args.lambda_max), args.points)
+    # 10**log10(x) overflows for x near the double limit.  Only the points
+    # that overflow are replaced: elsewhere the last point can differ from
+    # --lambda-max in its last bit, and those grids stay as they were
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(args.lambda_min), math.log10(args.lambda_max), args.points)
+    grid[~np.isfinite(grid)] = args.lambda_max
     records = error_sweep(p, args.n, grid, args.mode)
     _emit(args.out, SWEEP_HEADER, map(dataclasses.astuple, records))
     return 0
@@ -243,5 +250,30 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The ``fraclag`` process: ``main()``, then exit without interpreter
+    teardown.
+
+    Finalizing the imported modules and stopping the BLAS threads is a large
+    share of a short command's time and reaches no output: by the time
+    ``main()`` returns, every output file is closed and every thread it
+    started is joined, and stdout and stderr are flushed here.  The status goes through
+    ``sys.exit`` as usual when a flush fails, so a closed pipe is reported as
+    before, and under a tracer or profiler, which write their results at
+    exit.  Exceptions from ``main()``, argparse's exits among them, take the
+    usual path; in-process callers call ``main()``.
+    """
+    status = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(status)
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -79,7 +79,10 @@ class Params:
 def _real(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, else ValueError naming them ``what``:
     a cast would drop an imaginary part with only a warning and parse text."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting; numpy's message names no argument
+        raise ValueError(f"{what} must be a rectangular array of real numbers") from exc
     if values.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real, got dtype {values.dtype}")
     return values.astype(float, copy=False)

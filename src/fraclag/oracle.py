@@ -161,7 +161,8 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     integral's.  ``lambda_grid`` must be a 1-D sequence of finite spectral
     points.
     """
-    grid = _spectral(list(lambda_grid), "lambda_grid")
+    # a generator becomes its points; a scalar stays 0-d and is refused below
+    grid = _spectral(list(lambda_grid) if np.iterable(lambda_grid) else lambda_grid, "lambda_grid")
     if grid.ndim != 1:
         raise ValueError(f"lambda_grid must be 1-D, got shape {grid.shape}")
     if not np.isfinite(grid).all():

@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line entry point."""
 
 import csv
+import io as stdio
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraclag import cli, operators, oracle, planner
+from fraclag import cli, io, operators, oracle, planner
 from fraclag.cli import main
 from fraclag.integrands import Params
 from fraclag.planner import MODES, make_plan, mode_counts, scheme
@@ -406,3 +412,185 @@ def test_each_scheme_is_built_once(tmp_path, monkeypatch, args, builds):
                 + files.get(args[0], []))
     assert code == 0
     assert len(calls) == builds == len(set(calls))
+
+
+@pytest.mark.parametrize("low, top, last", [
+    # 10**log10(DBL_MAX) overflows; that point is the flag's value
+    ("1e300", "1.7976931348623157e308", sys.float_info.max),
+    # a grid that does not overflow keeps numpy's last point
+    ("1", "5", 5.000000000000001),
+], ids=["largest-double", "finite"])
+def test_scalar_sweep_grid_ends_at_lambda_max(tmp_path, capsys, low, top, last):
+    out = tmp_path / "sweep.csv"
+    code = main(["scalar-sweep", "--alpha", "0.5", "--h", "0.01", "--n", "20",
+                 "--lambda-min", low, "--lambda-max", top, "--points", "3", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(out)
+    assert float(rows[-1][0]) == last
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row[:8])
+
+
+def test_apply_joins_every_thread_it_starts(tmp_path, monkeypatch):
+    # run() ends the process without waiting for threads: each must be gone
+    # by the time main() returns
+    monkeypatch.setattr(operators, "_usable_cores", lambda: 2)
+    size = 2**17
+    files = {"diag": tmp_path / "d.txt", "vec": tmp_path / "b.txt"}
+    io.write_vector(files["diag"], np.logspace(0, 16, size))
+    io.write_vector(files["vec"], np.ones(size))
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    code = main(["apply", "--alpha", "0.5", "--h", "0.01", "--n", "20",
+                 "--diag-file", str(files["diag"]), "--vector-file", str(files["vec"]),
+                 "--out", str(tmp_path / "y.txt")])
+    assert code == 0
+    assert started
+    assert threading.active_count() == before
+
+
+class _Exited(Exception):
+    """Raised in place of ``os._exit`` so run() can be called in-process."""
+
+
+_GETTRACE, _GETPROFILE = sys.gettrace, sys.getprofile
+
+
+@pytest.fixture
+def process(monkeypatch):
+    """``run`` on an argv, with ``os._exit`` raising ``_Exited`` and neither
+    a tracer nor a profiler seen (the tier-1 runner may trace the tests)."""
+
+    def exit_(status):
+        raise _Exited(status)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+
+    def call(*argv):
+        monkeypatch.setattr(sys, "argv", ["fraclag", *argv])
+        cli.run()
+
+    return call
+
+
+_PLAN = ("plan", "--alpha", "0.5", "--h", "0.01", "--n", "10,20")
+
+
+def _apply_args(folder, out, diag="1.0\n50.0\n"):
+    """``apply`` argv on a diagonal file ``diag`` and a 2-vector, both
+    written to ``folder``."""
+    folder.mkdir(exist_ok=True)
+    (folder / "d.txt").write_text(diag)
+    (folder / "b.txt").write_text("1.0\n2.0\n")
+    return ("apply", "--alpha", "0.5", "--h", "0.01", "--n", "20", "--diag-file", str(folder / "d.txt"),
+            "--vector-file", str(folder / "b.txt"), "--out", str(out))
+
+
+def test_run_exits_with_the_status_after_flushing(monkeypatch, capsys, process):
+    assert main(list(_PLAN)) == 0
+    want = capsys.readouterr().out.encode()
+    # a block-buffered stdout: nothing reaches the bytes before a flush
+    raw = stdio.BytesIO()
+    monkeypatch.setattr(sys, "stdout", stdio.TextIOWrapper(stdio.BufferedWriter(raw, 1 << 16)))
+    seen = []
+
+    def exit_(status):
+        seen.append(raw.getvalue())
+        raise _Exited(status)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(_Exited) as exc:
+        process(*_PLAN)
+    assert exc.value.args == (0,)
+    assert seen == [want]
+
+
+def test_run_passes_a_refusal_through(tmp_path, capsys, process):
+    args = _apply_args(tmp_path, tmp_path / "y.txt", diag="0.5\n50.0\n")
+    with pytest.raises(_Exited) as exc:
+        process(*args)
+    assert exc.value.args == (1,)
+    assert capsys.readouterr().err == "error: diagonal entries must be >= 1\n"
+
+
+def test_run_without_stdout(tmp_path, monkeypatch, process):
+    # a process started with its stdout closed has sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(_Exited) as exc:
+        process(*_apply_args(tmp_path, tmp_path / "y.txt"))
+    assert exc.value.args == (0,)
+
+
+@pytest.mark.parametrize("hook", ["profile", "trace"])
+def test_run_exits_normally_when_profiled_or_traced(monkeypatch, process, hook):
+    # cProfile and trace write their results after the code returns
+    get, set_ = {"profile": (_GETPROFILE, sys.setprofile), "trace": (_GETTRACE, sys.settrace)}[hook]
+    monkeypatch.setattr(sys, f"get{hook}", get)
+    old = get()
+    set_(lambda *event: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            process(*_PLAN)
+    finally:
+        set_(old)
+    assert exc.value.code == 0
+
+
+def test_run_exits_normally_when_a_flush_fails(monkeypatch, process):
+    class ClosedPipe(stdio.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        process("plan", "--alpha", "0.5", "--h", "0.01", "--n", "10", "--out", os.devnull)
+    assert exc.value.code == 0
+
+
+def test_run_leaves_usage_errors_to_argparse(process, capsys):
+    with pytest.raises(SystemExit) as exc:
+        process("plan", "--alpha", "0.5", "--h", "0.01")
+    assert exc.value.code == 2
+    assert "one of the arguments --n --tol is required" in capsys.readouterr().err
+
+
+def test_the_module_process_matches_main(tmp_path, capsys):
+    """``python -m fraclag.cli`` gives the bytes, messages and status of an
+    in-process ``main``, and a profiled run still writes its profile."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, flushed only by run()
+    cases = {
+        "plan": _PLAN,
+        "apply": _apply_args(tmp_path, "{out}"),
+        "refused": _apply_args(tmp_path / "refused", "{out}", diag="0.5\n50.0\n"),
+    }
+    prof = tmp_path / "plan.prof"
+
+    def start(*argv):
+        return subprocess.Popen([sys.executable, "-m", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    children = {
+        name: start("fraclag.cli", *(a.format(out=tmp_path / f"{name}.child") for a in args))
+        for name, args in cases.items()
+    }
+    profiled = start("cProfile", "-o", str(prof), "-m", "fraclag.cli", *_PLAN)
+    for name, args in cases.items():
+        status = main([a.format(out=tmp_path / f"{name}.main") for a in args])
+        want = capsys.readouterr()
+        out, err = children[name].communicate(timeout=60)
+        assert (children[name].returncode, out.decode(), err.decode()) == (status, want.out, want.err)
+        main_file, child_file = tmp_path / f"{name}.main", tmp_path / f"{name}.child"
+        assert main_file.exists() == child_file.exists()
+        if main_file.exists():
+            assert child_file.read_bytes() == main_file.read_bytes()
+    out, err = profiled.communicate(timeout=60)
+    assert (profiled.returncode, err) == (0, b"")
+    assert prof.stat().st_size > 0

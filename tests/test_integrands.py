@@ -240,6 +240,13 @@ def test_complex_and_text_inputs_are_refused(entry, kind):
         call(complex_value if kind == "complex" else text_value)
 
 
+@pytest.mark.parametrize("entry", sorted(_REAL_INPUTS))
+def test_ragged_inputs_are_refused_with_their_name(entry):
+    call, name, _, _ = _REAL_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a rectangular array of real numbers$"):
+        call([[2.0], [2.0, 3.0]])
+
+
 def test_object_inputs_are_refused():
     with pytest.raises(ValueError, match="^diagonal entries must be real, got dtype object"):
         DiagonalOperator([Fraction(2), Fraction(3)])

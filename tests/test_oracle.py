@@ -232,8 +232,10 @@ def test_error_sweep_rejects_bad_grid():
         ([math.nan], "lambda_grid must be >= 1"),
         ([math.inf], "lambda_grid must be finite"),
         ([[2.0, 3.0]], r"lambda_grid must be 1-D, got shape \(1, 2\)"),
+        (3.0, r"lambda_grid must be 1-D, got shape \(\)"),
+        (np.float64(3.0), r"lambda_grid must be 1-D, got shape \(\)"),
     ],
-    ids=["below-floor", "nan", "inf", "2-D"],
+    ids=["below-floor", "nan", "inf", "2-D", "scalar", "numpy-scalar"],
 )
 def test_error_sweep_refusals_name_lambda_grid(grid, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
