@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Params", "ShiftedSystem", "f1", "f2", "node_system", "bounds", "exact_scalar_resolvent"]
+__all__ = ["Params", "ShiftedSystem", "f1", "f2", "node_system", "bounds"]
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,3 @@ def bounds(p: Params) -> tuple[float, float]:
     the resonance factor ``1 / sin(alpha*pi)**2``."""
     return 1.0, (p.alpha / (p.alpha + 1.0)) * math.exp(-p.log_h_root)
 
-
-def exact_scalar_resolvent(lam, p: Params):
-    """Closed form ``1 / (1 + h * lam**alpha)`` for ``lam in [1, inf]``.
-
-    ``lam = +inf`` is accepted and maps to 0.
-    """
-    lam = _spectral(lam)
-    with np.errstate(over="ignore"):
-        lam_pow = np.exp(p.alpha * np.log(lam))
-        out = 1.0 / (1.0 + p.h * lam_pow)
-    return out if out.ndim else float(out)

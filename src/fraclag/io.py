@@ -1,5 +1,6 @@
 """File formats: dense matrices as headerless CSV, vectors and diagonals as
-one entry per line, command output as headered CSV.
+one entry per line, command output as headered CSV.  Input files are read
+as UTF-8, with or without a leading byte-order mark.
 
 All numeric output uses 17 significant digits so round-trips are lossless
 and repeated runs are byte-identical.
@@ -40,7 +41,7 @@ def read_matrix(path) -> np.ndarray:
     """Dense matrix from comma-separated rows, no header; ``#`` starts a
     comment."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         # loadtxt warns on a file without rows, then returns a (0, 1) array
         if any(line.split("#", 1)[0].strip() for line in lines):
             return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
@@ -51,7 +52,7 @@ def read_matrix(path) -> np.ndarray:
 
 def _scalar_tokens(path) -> list[float]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     values = []

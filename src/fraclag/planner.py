@@ -135,7 +135,8 @@ def _sized(n: int, p: Params, mode: str) -> tuple[tuple[int, int], tuple[int, in
     """Rule sizes, kept counts and advertised error of ``mode`` at first-rule
     size ``n``; the only place a mode is turned into them."""
     n = _rule_size(n)
-    if mode not in _FIGURE:
+    # an unhashable mode would raise TypeError from the lookup
+    if not isinstance(mode, str) or mode not in _FIGURE:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     sizes = kept = (n, n) if mode == "standard" else (n, balance_m(n, p))
     if mode == "truncated":

@@ -269,6 +269,26 @@ def test_apply_names_a_file_that_is_not_utf8(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith(f"error: {files[flag]}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("operator, text", [
+    ("--diag-file", "1.0\n50.0\n"),
+    ("--matrix-file", "1.0,0.0\n0.0,50.0\n"),
+], ids=["diagonal", "matrix"])
+def test_apply_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys, operator, text):
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        folder = tmp_path / encoding
+        folder.mkdir()
+        (folder / "op.txt").write_text(text, encoding=encoding)
+        (folder / "b.txt").write_text("1.0\n2.0\n", encoding=encoding)
+        code = main([
+            "apply", "--alpha", "0.5", "--h", "0.01", "--n", "20", operator, str(folder / "op.txt"),
+            "--vector-file", str(folder / "b.txt"), "--out", str(folder / "y.txt"),
+        ])
+        results.append((code, capsys.readouterr(), (folder / "y.txt").read_bytes()))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--alpha", "1/0", "cannot parse alpha '1/0'"),
     ("--alpha", "x", "cannot parse alpha 'x'"),
@@ -361,6 +381,20 @@ def test_operator_error_single_mode_leaves_other_cells_empty(tmp_path):
     assert int(row[1]) == 20  # two full rules
     assert row[2] != "" and row[4] == "" and row[6] == ""
     assert row[3] != "" and row[5] != "" and row[7] != ""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scalar_sweep_and_operator_error_measure_one_error(tmp_path, mode):
+    # the sweep's 161 points are operator-error's built-in diagonal, and both
+    # measure against the oracle's one closed form
+    sweep, table = tmp_path / "sweep.csv", tmp_path / "err.csv"
+    common = ["--alpha", "0.5", "--h", "0.01", "--mode", mode]
+    assert main(["scalar-sweep", *common, "--n", "50", "--points", "161", "--out", str(sweep)]) == 0
+    assert main(["operator-error", *common, "--n-list", "50", "--out", str(table)]) == 0
+    _, records = _read_csv(sweep)
+    header, rows = _read_csv(table)
+    assert [float(r[0]) for r in records] == cli.benchmark_diagonal().tolist()
+    assert max(float(r[1]) for r in records) == float(rows[0][header.index(f"err_{mode}")])
 
 
 def test_operator_error_custom_diagonal(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the two integrand factors and the scalar resolvent."""
+"""Tests for the parameters, the two integrand factors and the input checks."""
 
 import math
 from fractions import Fraction
@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from fraclag.estimates import gamma_pm, poles, q_estimates
-from fraclag.integrands import Params, ShiftedSystem, bounds, exact_scalar_resolvent, f1, f2
+from fraclag.integrands import Params, ShiftedSystem, bounds, f1, f2
 from fraclag.laguerre import gauss_laguerre, truncation_index
 from fraclag.operators import DenseOperator, DiagonalOperator, apply_resolvent, scalar_approx
-from fraclag.oracle import error_sweep, exact_diagonal_apply, representation_check
+from fraclag.oracle import error_sweep, exact_diagonal_apply, exact_scalar_resolvent, representation_check
 from fraclag.planner import asymptotic_estimates, plan_for_tolerance
 
 # High-precision references (mpmath, 50 digits, rounded to double).
 F1_X1_LAM10_A03_H001 = 0.63783498435673219364
 F2_X2_LAM100_A075_H0001 = 2.2468224675963754546
-EXACT_RES_LAM1E16_A05_H001 = 9.99999000000999999e-7
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.95])
@@ -174,36 +173,6 @@ def test_integrand_domain_errors(func):
         func(float("-inf"), 1.0, p)
     with pytest.raises(ValueError):
         func(1.0, float("nan"), p)
-
-
-def test_exact_scalar_resolvent_simple():
-    p = Params(0.5, 1.0)
-    assert exact_scalar_resolvent(1.0, p) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_exact_scalar_resolvent_far_field():
-    p = Params(0.5, 0.01)
-    got = exact_scalar_resolvent(1e16, p)
-    assert got == pytest.approx(EXACT_RES_LAM1E16_A05_H001, rel=1e-14)
-
-
-def test_exact_scalar_resolvent_infinite_mode():
-    p = Params(0.3, 0.01)
-    assert exact_scalar_resolvent(float("inf"), p) == 0.0
-
-
-def test_exact_scalar_resolvent_monotone():
-    p = Params(0.7, 0.2)
-    lams = 10.0 ** np.linspace(0, 16, 9)
-    vals = [exact_scalar_resolvent(float(lam), p) for lam in lams]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(0.0 < v <= 1.0 for v in vals)
-
-
-def test_exact_scalar_resolvent_rejects_small_lambda():
-    p = Params(0.5, 1.0)
-    with pytest.raises(ValueError):
-        exact_scalar_resolvent(0.999, p)
 
 
 _P = Params(0.5, 0.01)

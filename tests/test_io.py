@@ -120,6 +120,24 @@ def test_read_matrix_rejects_garbage(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "read,text",
+    [(read_diagonal, "1\n+inf\n2.5\n"), (read_vector, "1\n-2.5\n"), (read_matrix, "1,2\n2,5\n")],
+    ids=["diagonal", "vector", "matrix"],
+)
+def test_readers_skip_a_byte_order_mark(tmp_path, read, text):
+    # Windows editors and spreadsheet exports start UTF-8 files with one
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    np.testing.assert_array_equal(read(marked), read(plain))
+    # a marked file that is not UTF-8 is still refused by the UTF-8 codec
+    marked.write_bytes(b"\xef\xbb\xbf1\xff\n")
+    with pytest.raises(ValueError, match="'utf-8' codec can't decode byte 0xff"):
+        read(marked)
+
+
 def test_write_csv_bytes_are_stable(tmp_path):
     header = ["n", "value", "label"]
     rows = [[1, 0.1, "a"], [2, 1.0 / 3.0, "b"]]

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from fraclag import operators
 from fraclag.estimates import q_estimates, standard_estimate
-from fraclag.integrands import Params, ShiftedSystem, exact_scalar_resolvent, node_system
+from fraclag.integrands import Params, ShiftedSystem, node_system
 from fraclag.laguerre import gauss_laguerre
 from fraclag.operators import (
     _BLOCK,
@@ -27,6 +27,7 @@ from fraclag.operators import (
     apply_scheme,
     scalar_approx,
 )
+from fraclag.oracle import error_sweep, exact_scalar_resolvent
 from fraclag.planner import MODES, Scheme, balanced_estimate, make_plan, mode_counts, scheme
 
 
@@ -135,8 +136,19 @@ def test_a_scheme_is_any_set_of_systems():
 
 
 def test_mode_counts_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        mode_counts(10, Params(0.5, 1.0), "fancy")
+    # an unhashable mode is refused by the same check, not by a TypeError
+    # from the lookup of its figure
+    p = Params(0.5, 1.0)
+    calls = [
+        lambda mode: mode_counts(10, p, mode),
+        lambda mode: scheme(5, p, mode),
+        lambda mode: apply_resolvent(DiagonalOperator([1.0, 2.0]), [1.0, 1.0], p, 5, mode=mode),
+        lambda mode: error_sweep(p, 5, [2.0], mode=mode),
+    ]
+    for mode in ("fancy", None, ("standard",), ["standard"], {}, np.array(["standard"])):
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^mode must be one of \('standard', 'balanced', 'truncated'\), got "):
+                call(mode)
 
 
 def test_diagonal_operator_validation():

@@ -10,14 +10,19 @@ from scipy.integrate import IntegrationWarning, quad
 from fraclag import integrands, oracle
 from fraclag.integrands import Params, bounds, f1, f2
 from fraclag.laguerre import gauss_laguerre
+from fraclag.operators import DiagonalOperator, apply_scheme
 from fraclag.oracle import (
     OracleError,
     SweepRecord,
     error_sweep,
     exact_diagonal_apply,
+    exact_scalar_resolvent,
     representation_check,
 )
-from fraclag.planner import mode_counts
+from fraclag.planner import MODES, mode_counts, scheme
+
+# High-precision references (mpmath, 50 digits, rounded to double).
+EXACT_RES_LAM1E16_A05_H001 = 9.99999000000999999e-7
 
 
 def test_exact_diagonal_apply_simple():
@@ -53,6 +58,78 @@ def test_exact_diagonal_apply_refuses_a_non_finite_b(entries, b):
     # agree on what they accept
     with pytest.raises(ValueError, match="^b must be finite$"):
         exact_diagonal_apply(entries, b, Params(0.5, 0.01))
+
+
+def test_exact_scalar_resolvent_simple():
+    p = Params(0.5, 1.0)
+    assert exact_scalar_resolvent(1.0, p) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_exact_scalar_resolvent_far_field():
+    p = Params(0.5, 0.01)
+    got = exact_scalar_resolvent(1e16, p)
+    assert got == pytest.approx(EXACT_RES_LAM1E16_A05_H001, rel=1e-14)
+
+
+def test_exact_scalar_resolvent_infinite_mode():
+    p = Params(0.3, 0.01)
+    assert exact_scalar_resolvent(float("inf"), p) == 0.0
+
+
+def test_exact_scalar_resolvent_monotone():
+    p = Params(0.7, 0.2)
+    lams = 10.0 ** np.linspace(0, 16, 9)
+    vals = [exact_scalar_resolvent(float(lam), p) for lam in lams]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert all(0.0 < v <= 1.0 for v in vals)
+
+
+def test_exact_scalar_resolvent_rejects_small_lambda():
+    p = Params(0.5, 1.0)
+    with pytest.raises(ValueError):
+        exact_scalar_resolvent(0.999, p)
+
+
+# 1 / (1 + h * lam**alpha) at the doubles alpha, h and lam, from mpmath at
+# 50 digits, to 25 significant digits
+_CLOSED_FORM = [
+    (0.95, 1e-3, 1e16, 6.309573444797961614292858e-13),
+    (0.5, 0.01, 1e16, 9.999990000009999781833609e-7),
+    (0.9, 1e-8, 1e300, 9.999999999999845935252365e-263),
+]
+
+
+@pytest.mark.parametrize("alpha,h,lam,want", _CLOSED_FORM)
+def test_exact_scalar_resolvent_is_correctly_rounded_at_large_lam(alpha, h, lam, want):
+    # exp(alpha * log(lam)) amplifies the rounding of log(lam) by
+    # alpha * log(lam), up to 90 ulps at lam = 1e300
+    got = exact_scalar_resolvent(lam, Params(alpha, h))
+    assert abs(got - want) <= 1.5 * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("alpha,h", [(0.5, 0.01), (0.95, 1e-3), (0.9, 1e-8), (0.05, 10.0)])
+def test_exact_scalar_resolvent_is_the_diagonal_apply_of_ones(alpha, h):
+    p = Params(alpha, h)
+    grid = np.append(10.0 ** np.linspace(0, 300, 301), math.inf)
+    want = exact_diagonal_apply(grid, np.ones(grid.size), p).view(np.int64)
+    points = [exact_scalar_resolvent(lam, p) for lam in grid.tolist()]
+    assert all(type(value) is float for value in points)
+    assert np.array_equal(np.array(points).view(np.int64), want)
+    # an array comes back elementwise, in its own shape
+    block = exact_scalar_resolvent(grid.reshape(-1, 2), p)
+    assert block.shape == (151, 2)
+    assert np.array_equal(block.ravel().view(np.int64), want)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_error_sweep_total_is_the_distance_to_the_closed_form(mode):
+    p, n = Params(0.5, 0.01), 50
+    grid = 10.0 ** np.linspace(0, 16, 33)
+    ones = np.ones(grid.size)
+    approx = apply_scheme(DiagonalOperator(grid), ones, scheme(n, p, mode))
+    want = np.abs(approx - exact_diagonal_apply(grid, ones, p))
+    got = np.array([rec.err_total for rec in error_sweep(p, n, grid, mode)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
