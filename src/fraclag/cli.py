@@ -26,10 +26,6 @@ from .planner import MODES, make_plan, mode_counts, plan_for_tolerance, scheme
 __all__ = ["main", "run", "build_parser", "benchmark_diagonal"]
 
 
-class UsageError(Exception):
-    """Flag values outside their documented ranges."""
-
-
 def _alpha_value(text: str) -> float:
     try:
         if "/" in text:
@@ -92,7 +88,8 @@ def _emit(out, header, rows) -> None:
 
 def _cmd_scalar_sweep(args, p: Params) -> int:
     if args.lambda_max < args.lambda_min:
-        raise UsageError("--lambda-max must be >= --lambda-min")
+        print("usage error: --lambda-max must be >= --lambda-min", file=sys.stderr)
+        return 2
     # 10**log10(x) overflows for x near the double limit.  Only the points
     # that overflow are replaced: elsewhere the last point can differ from
     # --lambda-max in its last bit, and those grids stay as they were
@@ -242,9 +239,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, Params(args.alpha, args.h))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (OperatorError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,7 +71,9 @@ _IDENTITY = 2.0**-53
 
 
 class OperatorError(RuntimeError):
-    """An operator was refused or a shifted solve could not be completed."""
+    """A backend returned a solution or sum that the apply cannot use: one
+    of the wrong shape or dtype, one that shares memory with ``b``, or a
+    result that is not finite."""
 
 
 class OperatorHandle(ABC):
@@ -97,7 +99,11 @@ class OperatorHandle(ABC):
         however many systems there are.  ``b`` is taken as a read-only
         float64 vector; anything else raises ValueError.  Each solution goes
         through ``_solution``, so one that shares memory with ``b``, is not
-        real and numeric or is not of ``b``'s shape raises OperatorError.
+        real and numeric or is not of ``b``'s shape raises OperatorError;
+        this is the one check of every per-solve result.  As in the diagonal
+        kernel, the sum ignores overflow and invalid operations, and
+        ``apply_scheme`` judges a result that is not finite; the solves run
+        under the caller's numpy error state.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -106,8 +112,9 @@ class OperatorHandle(ABC):
             y = _solution(self.solve_shifted(s.sigma, s.tau, b), b, (s.sigma, s.tau))
             # acc += s.scale * y, a block at a time so the scaled term is
             # never a whole vector
-            for part, out in blocks:
-                np.add(out, s.scale * y[part], out=out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for part, out in blocks:
+                    np.add(out, s.scale * y[part], out=out)
             del y  # frees this solution before the next one is allocated
         return acc
 
@@ -289,13 +296,13 @@ class DenseOperator(OperatorHandle):
             raise ValueError("matrix entries must be finite")
         scale = np.abs(a).max()
         if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
-            raise OperatorError("matrix is not symmetric")
+            raise ValueError("matrix is not symmetric")
         ev, self._q = np.linalg.eigh(a)
         # eigh is backward stable, so a spectrum starting at the floor may read
         # up to about N*eps*max|ev| below it; clamping that is below eigh's own
         # error
         if ev[0] < _SPECTRAL_FLOOR - ev.size * np.finfo(float).eps * np.abs(ev).max():
-            raise OperatorError(f"matrix spectrum must be >= {_SPECTRAL_FLOOR:g}, smallest eigenvalue is {float(ev[0])!r}")
+            raise ValueError(f"matrix spectrum must be >= {_SPECTRAL_FLOOR:g}, smallest eigenvalue is {float(ev[0])!r}")
         self._diag = DiagonalOperator(np.maximum(ev, _SPECTRAL_FLOOR))
 
     @property
@@ -304,12 +311,13 @@ class DenseOperator(OperatorHandle):
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         b = _as_vector(b, self.dimension)
-        return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
+        # as in the diagonal's solve and kernel, an overflow is left to
+        # apply_scheme's check of the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         b = _as_vector(b, self.dimension)
-        # as in the diagonal kernel, an overflow is left to apply_scheme's
-        # check of the result
         with np.errstate(over="ignore", invalid="ignore"):
             return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
 
@@ -321,14 +329,18 @@ class CallbackOperator(OperatorHandle):
     read-only, so a numpy write into it raises; compiled code that ignores
     the flag, such as scipy.linalg's solvers with ``overwrite_b=True``, can
     still overwrite it and so must be given a copy.  Each solution is
-    checked by ``_solution``, as in the default ``apply_sum``, which refuses
-    one that shares memory with ``b``, as such a solver returns, and must
-    also be finite; a refused solution raises OperatorError.
+    checked by the default ``apply_sum``, as any backend's is: one that
+    shares memory with ``b``, as such a solver returns, raises
+    OperatorError.  A solution with inf or NaN is summed as the diagonal
+    kernel sums one, and ``apply_scheme`` refuses a result that is not
+    finite after its retry on a scaled ``b``.
     """
 
     def __init__(self, dimension: int, solve: Callable[[float, float, np.ndarray], np.ndarray]):
         if not isinstance(dimension, (int, np.integer)) or isinstance(dimension, bool) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+        if not callable(solve):
+            raise ValueError(f"solve must be callable, got {solve!r}")
         self._dim = int(dimension)
         self._solve = solve
 
@@ -337,10 +349,7 @@ class CallbackOperator(OperatorHandle):
         return self._dim
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        y = _solution(self._solve(sigma, tau, b), b, (sigma, tau))
-        if not np.isfinite(y).all():
-            raise OperatorError(f"solver returned a non-finite solution at sigma={sigma!r}, tau={tau!r}")
-        return y
+        return self._solve(sigma, tau, b)
 
 
 def _solve_into(sigma: float, tau: float, d: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:

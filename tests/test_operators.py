@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -262,7 +263,7 @@ def test_dense_operator_rejects_bad_matrices():
     with pytest.raises(ValueError):
         DenseOperator(np.ones((2, 3)))
     asym = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(OperatorError):
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
         DenseOperator(asym)
     with pytest.raises(ValueError):
         DenseOperator(np.array([[float("inf"), 0.0], [0.0, 2.0]]))
@@ -280,7 +281,7 @@ def _rotated(eigs, seed):
     "mat", [-5.0 * np.eye(2), _rotated(np.array([0.5, 2.0]), 7)[1]], ids=["negative", "rotated"]
 )
 def test_dense_operator_refuses_spectrum_below_one(mat):
-    with pytest.raises(OperatorError) as excinfo:
+    with pytest.raises(ValueError, match="matrix spectrum must be >= 1") as excinfo:
         DenseOperator(mat)
     assert repr(float(np.linalg.eigh(mat)[0][0])) in str(excinfo.value)
 
@@ -350,8 +351,16 @@ def test_callback_operator_refuses_non_finite_solution():
         y[1] = np.nan
         return y
 
-    with pytest.raises(OperatorError, match="non-finite.*sigma=.*tau="):
+    # summed as the diagonal kernel sums it, then refused by apply_scheme
+    # after its retry on a scaled b
+    with pytest.raises(OperatorError, match="the result is not finite"):
         apply_resolvent(CallbackOperator(3, solve), np.ones(3), Params(0.5, 1.0), 5)
+
+
+@pytest.mark.parametrize("solve", [None, 3.0, "solve"])
+def test_callback_operator_refuses_a_solve_that_is_not_callable(solve):
+    with pytest.raises(ValueError, match="solve must be callable"):
+        CallbackOperator(3, solve)
 
 
 @pytest.mark.parametrize(
@@ -396,8 +405,9 @@ def test_callback_operator_accepts_integer_dimensions(dimension):
 
 @pytest.mark.parametrize("solution", [np.ones(3, dtype=bool), np.arange(3), np.ones(3, dtype=np.float32)])
 def test_callback_operator_accepts_numeric_solutions(solution):
+    # one unit system: the sum is the solution itself, taken as float64
     cb = CallbackOperator(3, lambda s, t, b: solution.copy())
-    got = cb.solve_shifted(1.0, 1.0, np.ones(3))
+    got = cb.apply_sum([ShiftedSystem(1.0, 1.0, 1.0)], np.ones(3))
     assert got.dtype == np.float64 and np.array_equal(got, solution)
 
 
@@ -532,15 +542,71 @@ def test_apply_computes_a_finite_result_near_the_double_limit(kind, mode, sign):
     np.testing.assert_allclose(got, 1e307 * unit, rtol=1e-15, atol=0.0)
 
 
-def test_apply_refuses_a_callback_solution_that_overflows():
+def test_apply_computes_a_callback_solution_that_overflows():
+    # the solves overflow at b = 1e307, and the retry on a scaled b gives the
+    # diagonal's bits
     d = np.array([1.0, 1e8])
 
     def solve(sigma, tau, b):
         with np.errstate(over="ignore"):
             return b / (sigma + tau * d)
 
-    with pytest.raises(OperatorError, match="non-finite solution"):
-        apply_resolvent(CallbackOperator(2, solve), [1e307] * 2, Params(0.5, 0.01), 50)
+    p = Params(0.5, 0.01)
+    got = apply_resolvent(CallbackOperator(2, solve), [1e307] * 2, p, 50)
+    want = apply_resolvent(DiagonalOperator(d), [1e307] * 2, p, 50)
+    assert np.isfinite(want).all()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _PerSolve(OperatorHandle):
+    """A backend that supplies only ``solve_shifted``, ``inner``'s."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def dimension(self):
+        return self._inner.dimension
+
+    def solve_shifted(self, sigma, tau, b):
+        return self._inner.solve_shifted(sigma, tau, b)
+
+
+@pytest.mark.parametrize("b", [1e307, 1.7e308, -1.7e308])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_every_backend_sums_an_overflow_alike(kind, alpha, mode, b):
+    # one spectrum gives one answer however it is supplied: the sums
+    # overflow, none of them warns, and apply_scheme's retry computes them
+    d = [1.0, 1e8]
+    inner = DiagonalOperator(d) if kind == "diagonal" else DenseOperator(np.diag(d))
+    p = Params(alpha, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = apply_resolvent(inner, [b] * 2, p, 50, mode)
+        for op in (_PerSolve(inner), CallbackOperator(2, inner.solve_shifted)):
+            got = apply_resolvent(op, [b] * 2, p, 50, mode)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isfinite(want).all()
+
+
+class _InfiniteAtZeroShift(_PerSolve):
+    """``inner``'s solves, but inf everywhere when ``sigma`` is 0."""
+
+    def solve_shifted(self, sigma, tau, b):
+        return np.full(self.dimension, np.inf) if sigma == 0.0 else super().solve_shifted(sigma, tau, b)
+
+
+def test_apply_refuses_an_infinite_solution_at_a_zero_scale_cleanly():
+    # 0 * inf is NaN; the sum takes it without a warning and apply_scheme
+    # refuses the result
+    p = Params(0.5, 0.01)
+    systems = scheme(10, p, "standard").systems + (ShiftedSystem(0.0, 1.0, 0.0),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorError, match="the result is not finite"):
+            apply_scheme(_InfiniteAtZeroShift(DiagonalOperator([1.0, 1e8])), np.ones(2), Scheme(systems, p, 0.0))
 
 
 class _TrackedSolutions(OperatorHandle):
