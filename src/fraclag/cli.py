@@ -20,7 +20,7 @@ from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
 from .integrands import _SPECTRAL_FLOOR, Params
 from .laguerre import MAX_RULE_SIZE
 from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_scheme
-from .oracle import SWEEP_HEADER, OracleError, error_sweep, exact_diagonal_apply
+from .oracle import SWEEP_HEADER, error_sweep, exact_diagonal_apply
 from .planner import MODES, make_plan, mode_counts, plan_for_tolerance, scheme
 
 __all__ = ["main", "run", "build_parser", "benchmark_diagonal"]
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, Params(args.alpha, args.h))
-    except (OperatorError, OracleError, OSError, ValueError) as exc:
+    except (OperatorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

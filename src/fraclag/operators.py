@@ -78,16 +78,17 @@ class OperatorError(RuntimeError):
 
 class OperatorHandle(ABC):
     """Self-adjoint positive operator with spectrum in [1, inf), exposed
-    through shifted solves and their weighted sum ``apply_sum``."""
+    through the weighted sum of its shifted solves, ``apply_sum``.
+
+    A subclass defines ``dimension`` and either ``apply_sum``, when it forms
+    the sum in one go, or ``solve_shifted(sigma, tau, b)``, returning the
+    solution of (sigma*I + tau*L)y = b, which the default ``apply_sum``
+    calls once per system."""
 
     @property
     @abstractmethod
     def dimension(self) -> int:
         """Size of the vectors the operator acts on."""
-
-    @abstractmethod
-    def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        """Solve (sigma*I + tau*L)y = b."""
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         """Return sum_j scale_j * (sigma_j*I + tau_j*L)^{-1} b for a 1-D ``b``
@@ -154,6 +155,9 @@ class DiagonalOperator(OperatorHandle):
         return self._d
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
+        """Solve (sigma*I + tau*L)y = b; a shift that ``ShiftedSystem``
+        refuses, with a NaN field or sigma == tau == 0, raises ValueError."""
+        ShiftedSystem(sigma, tau, 1.0)
         b = _as_vector(b, self.dimension)
         # b / (sigma + tau*d), computed in the one vector it returns.  tau can
         # underflow to 0 for far-tail nodes; 0 * inf would poison the +inf
@@ -323,7 +327,8 @@ class DenseOperator(OperatorHandle):
 
 
 class CallbackOperator(OperatorHandle):
-    """Operator backed by a user-supplied solver ``solve(sigma, tau, b)``.
+    """Operator backed by a user-supplied solver ``solve(sigma, tau, b)``,
+    which is its ``solve_shifted``.
 
     Self-adjointness and positivity are taken on trust.  ``b`` is passed
     read-only, so a numpy write into it raises; compiled code that ignores
@@ -342,14 +347,11 @@ class CallbackOperator(OperatorHandle):
         if not callable(solve):
             raise ValueError(f"solve must be callable, got {solve!r}")
         self._dim = int(dimension)
-        self._solve = solve
+        self.solve_shifted = solve
 
     @property
     def dimension(self) -> int:
         return self._dim
-
-    def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        return self._solve(sigma, tau, b)
 
 
 def _solve_into(sigma: float, tau: float, d: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:

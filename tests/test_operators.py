@@ -496,9 +496,6 @@ class _UserSums(OperatorHandle):
     def __init__(self, kind):
         self.kind = kind
 
-    def solve_shifted(self, sigma, tau, b):
-        raise AssertionError("apply_sum is overridden")
-
     def apply_sum(self, systems, b):
         return {
             "one": np.ones(1), "complex": b.astype(complex), "str": b.astype(str), "b": b,
@@ -558,8 +555,9 @@ def test_apply_computes_a_callback_solution_that_overflows():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-class _PerSolve(OperatorHandle):
-    """A backend that supplies only ``solve_shifted``, ``inner``'s."""
+class _Wrapped(OperatorHandle):
+    """A backend of ``inner``'s dimension that supplies neither
+    ``solve_shifted`` nor ``apply_sum``."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -568,8 +566,38 @@ class _PerSolve(OperatorHandle):
     def dimension(self):
         return self._inner.dimension
 
+
+class _PerSolve(_Wrapped):
+    """A backend that supplies only ``solve_shifted``, ``inner``'s."""
+
     def solve_shifted(self, sigma, tau, b):
         return self._inner.solve_shifted(sigma, tau, b)
+
+
+class _SumOnly(_Wrapped):
+    """A backend that supplies only ``apply_sum``, ``inner``'s, as one that
+    forms the whole sum without a single solve does."""
+
+    def apply_sum(self, systems, b):
+        return self._inner.apply_sum(systems, b)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_backend_may_supply_apply_sum_alone(mode):
+    d = np.logspace(0, 8, 12)
+    d[3] = np.inf
+    inner = DiagonalOperator(d)
+    b = np.random.default_rng(5).standard_normal(d.size)
+    p = Params(0.45, 0.05)
+    got = apply_resolvent(_SumOnly(inner), b, p, 30, mode)
+    want = apply_resolvent(inner, b, p, 30, mode)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_backend_that_supplies_neither_operation_fails_at_its_first_apply():
+    op = _Wrapped(DiagonalOperator([1.0, 2.0]))  # only dimension is abstract
+    with pytest.raises(AttributeError, match="solve_shifted"):
+        apply_resolvent(op, np.ones(2), Params(0.5, 0.01), 5)
 
 
 @pytest.mark.parametrize("b", [1e307, 1.7e308, -1.7e308])
@@ -671,6 +699,21 @@ def test_builtin_solve_shifted_refuses_b_of_the_wrong_shape(kind, shape):
     assert str(from_solve.value) == str(from_apply_sum.value)
 
 
+@pytest.mark.parametrize(
+    "sigma, tau, message",
+    [(math.nan, 1.0, "must not be NaN"), (1.0, math.nan, "must not be NaN"), (0.0, 0.0, "singular")],
+)
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_builtin_solve_shifted_refuses_what_shifted_system_refuses(kind, sigma, tau, message):
+    # the solves returned NaN, or inf with numpy's divide-by-zero warning
+    d = [1.0, 2.0]
+    op = DiagonalOperator(d) if kind == "diagonal" else DenseOperator(np.diag(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            op.solve_shifted(sigma, tau, np.ones(2))
+
+
 _SCHEME_OPERATORS = {
     "diagonal": DiagonalOperator,
     "dense": lambda d: DenseOperator(_rotated(d, 3)[1]),
@@ -709,10 +752,9 @@ def _peak_bytes(call):
 def test_default_apply_sum_keeps_few_solutions_in_flight():
     # 100 solves at n=50 through solve_shifted; a reduction that kept every
     # solution would peak near 100 vectors.  The sum, one solution and one
-    # block of scaled terms (0.66 of a vector here) take 2.66, and the
-    # callback's finiteness mask, an eighth of a vector, is freed before
-    # that block is made; a scaled copy of the whole solution would take 3,
-    # and holding the last solution into the next solve 4.
+    # block of scaled terms (2**16 entries, 0.66 of this vector) measure
+    # 2.68; a scaled copy of the whole solution would take 3, and holding
+    # the last solution into the next solve 4.
     size = 10**5
     op = CallbackOperator(size, DiagonalOperator(np.linspace(1.0, 1e6, size)).solve_shifted)
     b = np.ones(size)
