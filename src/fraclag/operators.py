@@ -138,13 +138,13 @@ class DiagonalOperator(OperatorHandle):
         # apply_sum's block size: ceil(N / ceil(N / _BLOCK)), so strided parts
         # of equally many blocks get equal work
         self._block = -(-d.size // -(-d.size // _BLOCK))
-        # per block, its least and greatest finite entry, or None when every
-        # entry there is +inf
-        self._spans: list[tuple[float, float] | None] = []
+        # per block, its least and greatest finite entry, or (inf, inf) when
+        # every entry there is +inf
+        self._spans: list[tuple[float, float]] = []
         for lo in range(0, d.size, self._block):
             finite = d[lo : lo + self._block]
             finite = finite[np.isfinite(finite)]
-            self._spans.append((float(finite.min()), float(finite.max())) if finite.size else None)
+            self._spans.append((float(finite.min()), float(finite.max())) if finite.size else (math.inf, math.inf))
 
     @property
     def dimension(self) -> int:
@@ -165,8 +165,7 @@ class DiagonalOperator(OperatorHandle):
         out = np.empty_like(self._d)
         with np.errstate(over="ignore", invalid="ignore"):
             _solve_into(sigma, tau, self._d, b, out)
-        if self._infinite.size:
-            out[self._infinite] = 0.0
+        out[self._infinite] = 0.0
         return out
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
@@ -181,10 +180,14 @@ class DiagonalOperator(OperatorHandle):
         thread when W is 1.  Each entry's sum is formed inside its block, in
         node order, so the bits do not depend on W or on the block size.  In
         each block a node is skipped when ``_kept_nodes`` proves that its
-        term cannot change a bit of the block's sum, which needs node scales
-        that span more than 2**55, and a node whose solve is the identity on
-        the block adds scale*b.  Neither raises a floating-point flag from
-        the passes it leaves out.
+        term cannot change a bit of the block's sum, and a node whose solve
+        is the identity on the block adds scale*b.  Neither raises a
+        floating-point flag from the passes it leaves out.  The kernel looks
+        for skips only when the node scales span more than 2**55, since that
+        is where measurement found them: a skip may exist at any scales, but
+        looking costs a pass over each block.  Every block, one of +inf
+        entries alone too, runs the same passes, and every +inf entry is
+        pinned to +0.0 afterwards.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -219,8 +222,6 @@ class DiagonalOperator(OperatorHandle):
         scratch = np.empty(self._block)
         for lo in starts:
             span = self._spans[lo // self._block]
-            if span is None:
-                continue  # every entry is +inf, pinned to zero by apply_sum
             hi = lo + self._block
             d, rhs, out = self._d[lo:hi], b[lo:hi], acc[lo:hi]
             y = scratch[: rhs.size]
@@ -245,9 +246,9 @@ class DiagonalOperator(OperatorHandle):
         systems: Sequence[ShiftedSystem], rhs: np.ndarray, span: tuple[float, float], scratch: np.ndarray
     ) -> list[bool]:
         """For a block of ``apply_sum`` with right-hand side ``rhs`` and least
-        and greatest finite entry ``span``, whether each system's term may
-        change a bit of the block's sum; ``scratch``, of ``rhs``'s size,
-        receives |rhs|.
+        and greatest finite entry ``span``, (inf, inf) when every entry is
+        +inf, whether each system's term may change a bit of the block's
+        sum; ``scratch``, of ``rhs``'s size, receives |rhs|.
 
         While the fields of the systems so far are finite and >= 0, each term
         ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
@@ -259,9 +260,11 @@ class DiagonalOperator(OperatorHandle):
         upper bound is 2**-55 of an earlier lower bound is thus under a
         quarter ulp of every acc_i with b_i != 0 and adds nothing under
         round-to-nearest; where b_i == 0 it is +-0 once sigma + tau*dmin > 0,
-        and +inf entries are pinned to zero afterwards anyway.  From the
-        first system with a negative or non-finite field on, every node is
-        kept.
+        and +inf entries are pinned to zero afterwards anyway.  On a block of
+        +inf entries alone sigma + tau*dmin is +inf or NaN, so each lower
+        bound is 0 or NaN, the floor stays 0 and every node is kept.  From
+        the first system with a negative or non-finite field on, every node
+        is kept.
         """
         np.abs(rhs, out=scratch)
         b_max, b_min = float(scratch.max()), float(scratch.min())

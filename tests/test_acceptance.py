@@ -7,6 +7,7 @@ are part of the contract and must not be loosened.
 
 import csv
 import math
+import threading
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from fraclag import operators
 from fraclag.cli import main
 from fraclag.estimates import eps1, eps2, lambda_bar, standard_estimate
 from fraclag.integrands import Params, f1, f2
+from fraclag.io import write_vector
 from fraclag.laguerre import gauss_laguerre
 from fraclag.operators import DiagonalOperator, apply_resolvent
 from fraclag.oracle import error_sweep, exact_diagonal_apply, representation_check
@@ -225,17 +227,34 @@ def test_criterion_8_truncation_tail_bound():
 
 def test_criterion_9_deterministic_output(tmp_path, monkeypatch):
     """operator-error output is byte-identical across runs and thread counts."""
-    args = ["operator-error", "--alpha", "0.5", "--h", "0.01", "--n-list", "10,20,30"]
+    # 4 kernel blocks of 50000, the third all +inf, so 2 and 4 cores deal
+    # them to pool threads
+    d = np.logspace(0.0, 16.0, 200_000)
+    d[[0, 77_777, -1]] = np.inf
+    d[100_000:150_000] = np.inf
+    diag = tmp_path / "diag.txt"
+    write_vector(diag, d)
+    args = ["operator-error", "--alpha", "0.5", "--h", "0.01", "--n-list", "10,20,30", "--diag-file", str(diag)]
     paths = []
     real_cores = operators._usable_cores
-    for name, cores in (("a", None), ("b", None), ("c", 4), ("d", 2)):
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for name, cores in (("a", None), ("b", None), ("c", 4), ("d", 2), ("e", 1)):
         monkeypatch.setattr(operators, "_usable_cores", real_cores if cores is None else lambda cores=cores: cores)
         out = tmp_path / f"{name}.csv"
+        started.clear()
         assert main(args + ["--out", str(out)]) == 0
+        if cores is not None:
+            assert bool(started) == (cores > 1)
         paths.append(out)
     blobs = [path.read_bytes() for path in paths]
     assert all(blob == blobs[0] for blob in blobs[1:])
     with open(paths[0], newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4
-    _passline(9, f"4 runs, {len(blobs[0])} bytes each, identical")
+    _passline(9, f"5 runs on 1, 2, 4 and all cores, {len(blobs[0])} bytes each, identical")

@@ -812,7 +812,7 @@ def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, cor
         systems = list(scheme(30, p, mode).systems) + [tail]
     diag = DiagonalOperator(d)
     if size == 5 * _BLOCK + 7:
-        assert len(diag._spans) == 6 and diag._spans[3] is None
+        assert len(diag._spans) == 6 and diag._spans[3] == (math.inf, math.inf)
     want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
     _set_cores(monkeypatch, cores)
     got = diag.apply_sum(systems, b)
@@ -1063,7 +1063,7 @@ def test_diagonal_skip_needs_nonnegative_systems():
     d = np.full(size, np.inf)
     d[:block] = np.logspace(0, 16, block)  # the second block is all +inf
     op = DiagonalOperator(d)
-    assert op._spans[1] is None
+    assert op._spans[1] == (math.inf, math.inf)
     b, scratch = np.ones(block), np.empty(block)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
     assert op._kept_nodes([big, tiny], b, op._spans[0], scratch) == [True, False]
@@ -1094,6 +1094,24 @@ def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
     assert all(all(op._kept_nodes(spread, rhs, span, scratch)) for rhs, span in blocks)
+
+
+def test_diagonal_skip_gate_is_a_cost_rule(monkeypatch):
+    # equal scales, yet the second term is under 2**-55 of the first over
+    # entries in [1, 4]: the skip is provable, and apply_sum, which does not
+    # look for it, still gives the default sum's bits
+    op = DiagonalOperator(np.linspace(1.0, 4.0, 1000))
+    b = np.ones(op.dimension)
+    systems = [ShiftedSystem(1.0, 0.0, 1.0), ShiftedSystem(1.0, 1e20, 1.0)]
+    assert op._kept_nodes(systems, b, op._spans[0], np.empty(op.dimension)) == [True, False]
+    want = OperatorHandle.apply_sum(op, systems, b)
+
+    def unused(*_):
+        raise AssertionError("apply_sum bounded a block")
+
+    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(unused))
+    got = op.apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("mode", ["balanced", "truncated"])
