@@ -3,9 +3,10 @@
 Each quadrature node becomes one shifted linear solve (sigma*I + tau*L)y = b;
 the resolvent approximation is a weighted sum of those solutions, which every
 backend computes through ``OperatorHandle.apply_sum``.  The default sums
-``solve_shifted`` results in node order; ``DiagonalOperator`` fuses the whole
-sum into one pass over equal cache-sized blocks of its entries, and
-``DenseOperator`` runs that kernel in its eigenbasis.
+``solve_shifted`` results in node order.  On a diagonal that sum is the
+scalar rational function r(d) = sum_j scale_j / (sigma_j + tau_j*d) times
+b, and ``DiagonalOperator`` forms it so, over equal cache-sized blocks of its
+entries; ``DenseOperator`` runs that kernel in its eigenbasis.
 
 The per-solve default runs serially, since each solve in flight holds a
 vector.  It holds the sum, one solution and one block of scaled terms, and
@@ -19,12 +20,18 @@ starts a thread only for a part it is given, so a diagonal of one block
 starts none.  The blocks are all of one size, so parts of equally many
 blocks get equal work.
 
-The diagonal kernel's result is the default sum bit for bit.  It leaves
-out, for a whole block, a node whose term provably cannot change a bit of
-the block's sum (``DiagonalOperator._kept_nodes``), and adds scale*b for a
-node whose solve is the identity over the block; neither raises a
-floating-point flag from the passes it leaves out.  The README gives the
-kernel's measured timings and the share of passes it spares.
+The diagonal kernel's result is the plain coefficient sum bit for bit:
+each scale / (sigma + tau*d) added in node order, one product with b, and
+every +inf entry pinned to +0.0.  It leaves out, for a whole block, a node
+whose coefficient provably cannot change a bit of the block's sum
+(``DiagonalOperator._kept_nodes``), and adds scale for a node whose solve is
+the identity over the block; neither raises a floating-point flag from the
+passes it leaves out.  Per-solve backends give one another's bits; for J
+systems with fields >= 0 and no term that underflows, the kernel's normal
+finite results are within (2J + 6) * 2**-53 relative of theirs, since a
+per-solve term is rounded twice and a coefficient once before its product
+with b.  The README gives the kernel's measured timings and the share of
+passes it spares.
 """
 
 from __future__ import annotations
@@ -61,8 +68,8 @@ __all__ = [
 # the interpreter lock between the threads eats the gain of splitting them.
 _BLOCK = 1 << 16
 
-# A term below 2**-55 times every accumulator entry it meets is under a
-# quarter ulp of each, so adding it rounds back to the entry.
+# A term below 2**-55 times every coefficient sum it meets is under a
+# quarter ulp of each, so adding it rounds back to the sum.
 _NEGLIGIBLE = 2.0**55
 
 # 1 + t rounds to 1 for 0 <= t <= 2**-53, the tie included, which rounds to
@@ -83,7 +90,9 @@ class OperatorHandle(ABC):
     A subclass defines ``dimension`` and either ``apply_sum``, when it forms
     the sum in one go, or ``solve_shifted(sigma, tau, b)``, returning the
     solution of (sigma*I + tau*L)y = b, which the default ``apply_sum``
-    calls once per system."""
+    calls once per system.  Two per-solve backends over the same solves
+    give the same bits; one that forms the sum otherwise, as the diagonal
+    kernel does, agrees with them up to rounding."""
 
     @property
     @abstractmethod
@@ -156,7 +165,11 @@ class DiagonalOperator(OperatorHandle):
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         """Solve (sigma*I + tau*L)y = b; a shift that ``ShiftedSystem``
-        refuses, with a NaN field or sigma == tau == 0, raises ValueError."""
+        refuses, with a NaN field or sigma == tau == 0, raises ValueError.
+
+        ``apply_sum`` does not call it: this is the per-solve path, which a
+        ``CallbackOperator`` over it and wrappers that time or trace single
+        solves take."""
         ShiftedSystem(sigma, tau, 1.0)
         b = _as_vector(b, self.dimension)
         # b / (sigma + tau*d), computed in the one vector it returns.  tau can
@@ -164,44 +177,43 @@ class DiagonalOperator(OperatorHandle):
         # entries, so those are pinned to the 0 limit explicitly.
         out = np.empty_like(self._d)
         with np.errstate(over="ignore", invalid="ignore"):
-            _solve_into(sigma, tau, self._d, b, out)
+            np.multiply(tau, self._d, out=out)
+            np.add(sigma, out, out=out)
+            np.divide(b, out, out=out)
         out[self._infinite] = 0.0
         return out
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
-        """The weighted sum of ``solve_shifted`` results, bit for bit, computed
-        block by block with one scratch block per worker and no allocation
-        per system.
+        """r(d) * b, with r(d) = sum_j scale_j / (sigma_j + tau_j*d) added in
+        node order: the weighted sum of ``solve_shifted`` results up to
+        rounding, computed block by block with one scratch block per worker
+        and no allocation per system.
 
         The entries are cut into the fewest blocks of at most 2**16, all of
         one size but a last one that may be shorter, and the blocks are
         dealt to W = min(usable cores, blocks) parts, ``starts[t::W]``: the
         calling thread runs part 0 and a pool the rest, which starts no
-        thread when W is 1.  Each entry's sum is formed inside its block, in
-        node order, so the bits do not depend on W or on the block size.  In
-        each block a node is skipped when ``_kept_nodes`` proves that its
-        term cannot change a bit of the block's sum, and a node whose solve
-        is the identity on the block adds scale*b.  Neither raises a
-        floating-point flag from the passes it leaves out.  The kernel looks
-        for skips only when the node scales span more than 2**55, since that
-        is where measurement found them: a skip may exist at any scales, but
-        looking costs a pass over each block.  Every block, one of +inf
-        entries alone too, runs the same passes, and every +inf entry is
-        pinned to +0.0 afterwards.
+        thread when W is 1.  Each entry's coefficient sum is formed inside
+        its block, in node order, and multiplied by b once, so the bits do
+        not depend on W or on the block size.  In each block a node is
+        skipped when ``_kept_nodes`` proves from the block's span alone that
+        its coefficient cannot change a bit of the block's sum, and a node
+        whose solve is the identity on the block adds scale.  Neither raises
+        a floating-point flag from the passes it leaves out.  Every block,
+        one of +inf entries alone too, runs the same passes, and every +inf
+        entry is pinned to +0.0 afterwards.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
         starts = range(0, b.size, self._block)
         workers = min(_usable_cores(), len(starts))
-        scales = [s.scale for s in systems]
-        bounding = min(scales, default=0.0) * _NEGLIGIBLE < max(scales, default=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             # numpy's error state is per thread: each part takes the caller's
             errors, on_error = np.geterr(), np.geterrcall()
 
             def part(t: int) -> None:
                 with np.errstate(call=on_error, **errors):
-                    self._sum_blocks(systems, b, acc, starts[t::workers], bounding)
+                    self._sum_blocks(systems, b, acc, starts[t::workers])
 
             # leaving the block waits for every part, since each writes into acc
             with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
@@ -209,70 +221,57 @@ class DiagonalOperator(OperatorHandle):
                 part(0)
             for future in futures:
                 future.result()
-        # solve_shifted pins +inf entries to +0.0, so each term and the sum
-        # there is +0.0; the kernel left b/inf there, or 0*inf = NaN.
+        # the resolvent annihilates +inf entries, as solve_shifted's pin
+        # says; the kernel left (scale/inf)*b there, or a NaN from 0*inf.
         acc[self._infinite] = 0.0
         return acc
 
-    def _sum_blocks(
-        self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range, bounding: bool
-    ) -> None:
-        """Add the terms of every block starting at ``starts`` into acc,
-        skipping those ``_kept_nodes`` rules out when ``bounding``."""
+    def _sum_blocks(self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range) -> None:
+        """Write r(d)*b into acc over every block starting at ``starts``,
+        leaving out the terms of r that ``_kept_nodes`` rules out."""
         scratch = np.empty(self._block)
         for lo in starts:
             span = self._spans[lo // self._block]
             hi = lo + self._block
-            d, rhs, out = self._d[lo:hi], b[lo:hi], acc[lo:hi]
-            y = scratch[: rhs.size]
-            # _kept_nodes writes |b| of the block into y before the block's
-            # solves reuse it
-            kept = compress(systems, self._kept_nodes(systems, rhs, span, y)) if bounding else systems
+            d, out = self._d[lo:hi], acc[lo:hi]
+            term = scratch[: d.size]
             d_max = span[1]
-            # solve_shifted's operations, then acc += scale * y, but without
-            # the solve where it gives y = b
-            for s in kept:
+            for s in compress(systems, self._kept_nodes(systems, span)):
                 if s.sigma == 1.0 and 0.0 <= s.tau * d_max <= _IDENTITY:
                     # rounding is monotone, so every tau*d_i here is in
-                    # [0, 2**-53], 1 + tau*d_i rounds to 1 and b_i / 1 is b_i
-                    np.multiply(s.scale, rhs, out=y)
+                    # [0, 2**-53], 1 + tau*d_i rounds to 1 and the term is
+                    # scale / 1
+                    np.add(out, s.scale, out=out)
                 else:
-                    _solve_into(s.sigma, s.tau, d, rhs, y)
-                    np.multiply(s.scale, y, out=y)
-                np.add(out, y, out=out)
+                    np.multiply(s.tau, d, out=term)
+                    np.add(s.sigma, term, out=term)
+                    np.divide(s.scale, term, out=term)
+                    np.add(out, term, out=out)
+            np.multiply(out, b[lo:hi], out=out)
 
     @staticmethod
-    def _kept_nodes(
-        systems: Sequence[ShiftedSystem], rhs: np.ndarray, span: tuple[float, float], scratch: np.ndarray
-    ) -> list[bool]:
-        """For a block of ``apply_sum`` with right-hand side ``rhs`` and least
-        and greatest finite entry ``span``, (inf, inf) when every entry is
-        +inf, whether each system's term may change a bit of the block's
-        sum; ``scratch``, of ``rhs``'s size, receives |rhs|.
+    def _kept_nodes(systems: Sequence[ShiftedSystem], span: tuple[float, float]) -> list[bool]:
+        """For a block of ``apply_sum`` with least and greatest finite entry
+        ``span``, (inf, inf) when every entry is +inf, whether each system's
+        term of r may change a bit of the block's coefficient sum.
 
-        While the fields of the systems so far are finite and >= 0, each term
-        ``scale * (b_i / (sigma + tau*d_i))`` has the sign of ``b_i``, so
-        |acc_i| never shrinks and is at least every term added so far.
-        Rounding is monotone, so over the block's finite entries
-        ``scale*(bmax/(sigma + tau*dmin))`` bounds each computed term from
-        above and ``scale*(bmin/(sigma + tau*dmax))`` bounds it from below
-        where b_i != 0 (bmin, bmax over the nonzero |b_i|).  A term whose
-        upper bound is 2**-55 of an earlier lower bound is thus under a
-        quarter ulp of every acc_i with b_i != 0 and adds nothing under
-        round-to-nearest; where b_i == 0 it is +-0 once sigma + tau*dmin > 0,
-        and +inf entries are pinned to zero afterwards anyway.  On a block of
+        While the fields of the systems so far are finite and >= 0, each
+        term ``scale / (sigma + tau*d_i)`` is >= 0, so the sum c_i never
+        shrinks and is at least every term added so far.  Rounding is
+        monotone, so over the block's finite entries
+        ``scale / (sigma + tau*dmin)`` bounds each computed term from above
+        and ``scale / (sigma + tau*dmax)`` bounds it from below.  A term
+        whose upper bound is 2**-55 of an earlier lower bound is thus under
+        a quarter ulp of every c_i and adds nothing under round-to-nearest;
+        +inf entries are pinned to zero afterwards anyway.  On a block of
         +inf entries alone sigma + tau*dmin is +inf or NaN, so each lower
         bound is 0 or NaN, the floor stays 0 and every node is kept.  From
         the first system with a negative or non-finite field on, every node
         is kept.
         """
-        np.abs(rhs, out=scratch)
-        b_max, b_min = float(scratch.max()), float(scratch.min())
         inf = math.inf
-        if b_min == 0.0:
-            b_min = float(np.min(scratch, where=scratch > 0.0, initial=inf))
         d_min, d_max = span
-        floor = 0.0  # the least |acc_i| over b_i != 0 proven so far
+        floor = 0.0  # the least c_i proven so far
         kept = [True] * len(systems)
         for j, s in enumerate(systems):
             sigma, tau, scale = s.sigma, s.tau, s.scale
@@ -280,8 +279,8 @@ class DiagonalOperator(OperatorHandle):
                 break
             least = sigma + tau * d_min
             if least > 0.0:
-                kept[j] = not (scale * (b_max / least) * _NEGLIGIBLE < floor)
-                term = scale * (b_min / (sigma + tau * d_max))
+                kept[j] = not (scale / least * _NEGLIGIBLE < floor)
+                term = scale / (sigma + tau * d_max)
                 if term > floor:
                     floor = term
         return kept
@@ -355,13 +354,6 @@ class CallbackOperator(OperatorHandle):
     @property
     def dimension(self) -> int:
         return self._dim
-
-
-def _solve_into(sigma: float, tau: float, d: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
-    """out = rhs / (sigma + tau*d), computed in ``out``."""
-    np.multiply(tau, d, out=out)
-    np.add(sigma, out, out=out)
-    np.divide(rhs, out, out=out)
 
 
 def _solution(y, b: np.ndarray, shift: tuple[float, float] | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Property tests of the sizing contract over the whole accepted domain, and
-of the diagonal kernel against the per-solve default sum."""
+of the diagonal kernel against the plain coefficient sum and, within
+rounding, the per-solve default sum."""
 
 import math
 from contextlib import nullcontext
@@ -16,6 +17,7 @@ from fraclag.estimates import standard_estimate  # noqa: E402
 from fraclag.integrands import Params, ShiftedSystem  # noqa: E402
 from fraclag.operators import _BLOCK, DiagonalOperator, OperatorHandle, apply_resolvent  # noqa: E402
 from fraclag.planner import MODES, mode_counts, scheme  # noqa: E402
+from test_operators import _assert_within_rounding, _coefficient_sum  # noqa: E402
 
 # each mode's advertised error as a multiple of the standard figure
 _FIGURE_FACTOR = {"standard": 1.0, "balanced": 2.0, "truncated": 4.0}
@@ -90,8 +92,10 @@ def hand_made_systems(draw):
     return systems
 
 
-@settings(max_examples=100, deadline=None)
-@given(
+# the diagonal kernel's cases: a spectrum, a core count (None keeps the real
+# one), a b of normal, zero and special entries, and systems from a scheme or
+# made by hand
+_KERNEL_CASES = dict(
     d=spectra(),
     cores=st.sampled_from([None, 1, 2, 3, 7]),
     seed=st.integers(0, 2**32 - 1),
@@ -104,14 +108,43 @@ def hand_made_systems(draw):
         hand_made_systems(),
     ),
 )
-def test_diagonal_apply_sum_is_the_default_sum(d, cores, seed, zero_frac, b_scale, specials, systems):
+
+
+def _right_hand_side(size, seed, zero_frac, b_scale, specials):
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(d.size) * 10.0**b_scale
-    b[rng.random(d.size) < zero_frac] = 0.0
-    b[rng.integers(0, d.size, len(specials))] = specials
-    diag = DiagonalOperator(d)
-    want = OperatorHandle.apply_sum(diag, systems, b)
+    b = rng.standard_normal(size) * 10.0**b_scale
+    b[rng.random(size) < zero_frac] = 0.0
+    b[rng.integers(0, size, len(specials))] = specials
+    return b
+
+
+def _kernel_sum(diag, systems, b, cores):
     # @given cannot take monkeypatch; None keeps the real core count
     with nullcontext() if cores is None else patch.object(operators, "_usable_cores", lambda: cores):
-        got = diag.apply_sum(systems, b)
+        return diag.apply_sum(systems, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_KERNEL_CASES)
+def test_diagonal_apply_sum_is_the_default_sum(d, cores, seed, zero_frac, b_scale, specials, systems):
+    b = _right_hand_side(d.size, seed, zero_frac, b_scale, specials)
+    diag = DiagonalOperator(d)
+    got = _kernel_sum(diag, systems, b, cores)
+    want = _coefficient_sum(d, systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the per-solve default rounds each term twice, the kernel once and then
+    # its product with b
+    if all(min(s.sigma, s.tau, s.scale) >= 0.0 for s in systems):
+        _assert_within_rounding(got, OperatorHandle.apply_sum(diag, systems, b), systems, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_KERNEL_CASES)
+def test_diagonal_apply_sum_is_its_coefficients_times_b(d, cores, seed, zero_frac, b_scale, specials, systems):
+    b = _right_hand_side(d.size, seed, zero_frac, b_scale, specials)
+    diag = DiagonalOperator(d)
+    got = _kernel_sum(diag, systems, b, cores)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _kernel_sum(diag, systems, np.ones(d.size), cores) * b
+    want[np.isinf(d)] = 0.0
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

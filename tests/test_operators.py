@@ -32,6 +32,37 @@ from fraclag.oracle import error_sweep, exact_scalar_resolvent
 from fraclag.planner import MODES, Scheme, balanced_estimate, make_plan, mode_counts, scheme
 
 
+def _coefficient_sum(d, systems, b):
+    """r(d)*b as plainly as it can be written: the coefficients
+    scale / (sigma + tau*d) added in node order, one product with ``b``, and
+    every +inf entry pinned to +0.0.  It does not depend on blocks, skips,
+    identity nodes or threads, and ``DiagonalOperator.apply_sum`` gives its
+    bits."""
+    d = np.asarray(d, dtype=float)
+    c = np.zeros(d.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in systems:
+            c += s.scale / (s.sigma + s.tau * d)
+        y = c * b
+    y[np.isinf(d)] = 0.0
+    return y
+
+
+def _assert_within_rounding(got, want, systems, b):
+    """Wherever ``want`` is a normal finite double, |got - want| is at most
+    (2J + 6) * 2**-53 * |want|, for J systems with fields >= 0: the rounding
+    that separates a coefficient sum times ``b`` from a per-solve sum of J
+    terms of one sign, with room for a prefactor's product.  A term that
+    underflows loses up to half a subnormal ulp, 2**-1075, in each, so
+    J * (max scale + |b|) * 2**-1074 is added to the bound."""
+    b = np.asarray(b, dtype=float)
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    solves = len(systems)
+    underflow = (max(s.scale for s in systems) + np.abs(b)) * 2.0**-1074 * solves
+    bound = (2 * solves + 6) * 2.0**-53 * np.abs(want) + underflow
+    assert np.all((np.abs(got - want) <= bound)[normal])
+
+
 def test_node_system_first_integral_origin():
     # x = 0, w = 1, alpha = 0.5, h = 1: sigma = 1, tau = 1,
     # scale = 1 / (1 + 2 cos(pi/2) + 1) = 1/2.
@@ -341,8 +372,10 @@ def test_callback_operator_parity():
     cb = CallbackOperator(3, solve)
     p = Params(0.4, 0.1)
     got = apply_resolvent(cb, np.ones(3), p, 15)
-    ref = apply_resolvent(DiagonalOperator(d), np.ones(3), p, 15)
-    assert np.array_equal(got, ref)
+    # per-solve backends agree bit for bit, the diagonal kernel within rounding
+    diag = DiagonalOperator(d)
+    assert np.array_equal(got, apply_resolvent(CallbackOperator(3, diag.solve_shifted), np.ones(3), p, 15))
+    _assert_within_rounding(apply_resolvent(diag, np.ones(3), p, 15), got, scheme(15, p, "standard").systems, np.ones(3))
 
 
 def test_callback_operator_refuses_non_finite_solution():
@@ -541,7 +574,8 @@ def test_apply_computes_a_finite_result_near_the_double_limit(kind, mode, sign):
 
 def test_apply_computes_a_callback_solution_that_overflows():
     # the solves overflow at b = 1e307, and the retry on a scaled b gives the
-    # diagonal's bits
+    # bits of the diagonal's own solves, and the diagonal kernel's result
+    # within rounding
     d = np.array([1.0, 1e8])
 
     def solve(sigma, tau, b):
@@ -549,10 +583,15 @@ def test_apply_computes_a_callback_solution_that_overflows():
             return b / (sigma + tau * d)
 
     p = Params(0.5, 0.01)
-    got = apply_resolvent(CallbackOperator(2, solve), [1e307] * 2, p, 50)
-    want = apply_resolvent(DiagonalOperator(d), [1e307] * 2, p, 50)
+    diag = DiagonalOperator(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_resolvent(CallbackOperator(2, solve), [1e307] * 2, p, 50)
+        want = apply_resolvent(_PerSolve(diag), [1e307] * 2, p, 50)
+        fused = apply_resolvent(diag, [1e307] * 2, p, 50)
     assert np.isfinite(want).all()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _assert_within_rounding(fused, want, scheme(50, p, "standard").systems, [1e307] * 2)
 
 
 class _Wrapped(OperatorHandle):
@@ -606,17 +645,19 @@ def test_a_backend_that_supplies_neither_operation_fails_at_its_first_apply():
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_every_backend_sums_an_overflow_alike(kind, alpha, mode, b):
     # one spectrum gives one answer however it is supplied: the sums
-    # overflow, none of them warns, and apply_scheme's retry computes them
+    # overflow, none of them warns, and apply_scheme's retry computes them;
+    # the per-solve backends agree bit for bit, the kernel within rounding
     d = [1.0, 1e8]
     inner = DiagonalOperator(d) if kind == "diagonal" else DenseOperator(np.diag(d))
     p = Params(alpha, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = apply_resolvent(inner, [b] * 2, p, 50, mode)
-        for op in (_PerSolve(inner), CallbackOperator(2, inner.solve_shifted)):
-            got = apply_resolvent(op, [b] * 2, p, 50, mode)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        fused = apply_resolvent(inner, [b] * 2, p, 50, mode)
+        want = apply_resolvent(_PerSolve(inner), [b] * 2, p, 50, mode)
+        got = apply_resolvent(CallbackOperator(2, inner.solve_shifted), [b] * 2, p, 50, mode)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.isfinite(want).all()
+    _assert_within_rounding(fused, want, scheme(50, p, mode).systems, [b] * 2)
 
 
 class _InfiniteAtZeroShift(_PerSolve):
@@ -667,8 +708,10 @@ def test_serial_apply_holds_one_solution_at_a_time():
     assert len(op.alive_at_solve) == len(scheme(30, p, "standard").systems)
     assert op.alive_at_solve == [0] * len(op.alive_at_solve)
     assert all(r() is None for r in op.solutions)
-    want = apply_resolvent(DiagonalOperator(op._d), np.ones(50), p, 30)
+    diag = DiagonalOperator(op._d)
+    want = apply_resolvent(CallbackOperator(50, diag.solve_shifted), np.ones(50), p, 30)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _assert_within_rounding(apply_resolvent(diag, np.ones(50), p, 30), want, scheme(30, p, "standard").systems, np.ones(50))
 
 
 def test_apply_resolvent_validates_inputs():
@@ -813,7 +856,7 @@ def test_diagonal_apply_sum_matches_default_bitwise(monkeypatch, size, mode, cor
     diag = DiagonalOperator(d)
     if size == 5 * _BLOCK + 7:
         assert len(diag._spans) == 6 and diag._spans[3] == (math.inf, math.inf)
-    want = CallbackOperator(size, diag.solve_shifted).apply_sum(systems, b)
+    want = _coefficient_sum(d, systems, b)
     _set_cores(monkeypatch, cores)
     got = diag.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -836,8 +879,8 @@ _TIE = 2.0**-53 / 2.0**1000
 @pytest.mark.parametrize("tau", [_TIE, np.nextafter(_TIE, 1.0), 0.0], ids=["tie", "above", "zero"])
 def test_diagonal_identity_nodes_match_the_default_bitwise(monkeypatch, tau, cores):
     # every block's greatest finite entry is 2**1000: at the tie and at
-    # tau == 0 the kernel takes scale*b as the node's term, one ulp of tau
-    # above the tie it solves
+    # tau == 0 the kernel adds scale as the node's coefficient, one ulp of
+    # tau above the tie it divides
     size = 2 * _BLOCK + 3
     rng = np.random.default_rng(9)
     d = 2.0 ** rng.uniform(0.0, 1000.0, size)
@@ -848,7 +891,7 @@ def test_diagonal_identity_nodes_match_the_default_bitwise(monkeypatch, tau, cor
     op = DiagonalOperator(d)
     assert all(span[1] == 2.0**1000 for span in op._spans)
     systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, tau, 0.5), ShiftedSystem(1.0, tau, 3.0)]
-    want = OperatorHandle.apply_sum(op, systems, b)
+    want = _coefficient_sum(d, systems, b)
     _set_cores(monkeypatch, cores)
     got = op.apply_sum(systems, b)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -924,10 +967,10 @@ def test_threaded_apply_leaves_no_thread_running(monkeypatch):
     # the pool is joined
     sum_blocks = DiagonalOperator._sum_blocks
 
-    def failing(self, systems, b, acc, starts, bounding):
+    def failing(self, systems, b, acc, starts):
         if starts[0] != 0:
             raise ArithmeticError("pool part failed")
-        sum_blocks(self, systems, b, acc, starts, bounding)
+        sum_blocks(self, systems, b, acc, starts)
 
     monkeypatch.setattr(DiagonalOperator, "_sum_blocks", failing)
     with pytest.raises(ArithmeticError, match="pool part failed"):
@@ -1045,13 +1088,10 @@ def test_diagonal_apply_sum_rejects_wrong_length(kind, b):
 
 def test_diagonal_skips_most_tail_terms_at_the_paper_point():
     # standard mode at n=50: the far nodes of both rules add under a
-    # quarter ulp of the running sum in most blocks
+    # quarter ulp of the running coefficient sum in most blocks
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 0.01), "standard").systems
-    b, scratch = np.ones(op.dimension), np.empty(_BLOCK)
-    starts = range(0, op.dimension, _BLOCK)
-    blocks = [(b[lo : lo + _BLOCK], span) for lo, span in zip(starts, op._spans)]
-    kept = np.array([op._kept_nodes(systems, rhs, span, scratch) for rhs, span in blocks])
+    kept = np.array([op._kept_nodes(systems, span) for span in op._spans])
     assert kept.shape == (4, len(systems))
     assert kept[:, 0].all()  # nothing is known before the first term
     assert 1.0 - kept.mean() >= 0.4
@@ -1064,54 +1104,54 @@ def test_diagonal_skip_needs_nonnegative_systems():
     d[:block] = np.logspace(0, 16, block)  # the second block is all +inf
     op = DiagonalOperator(d)
     assert op._spans[1] == (math.inf, math.inf)
-    b, scratch = np.ones(block), np.empty(block)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    assert op._kept_nodes([big, tiny], b, op._spans[0], scratch) == [True, False]
-    # a term of the other sign may shrink |acc|: every node after it runs
+    assert op._kept_nodes([big, tiny], op._spans[0]) == [True, False]
+    # a term of the other sign may shrink the sum: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
-        first = op._kept_nodes([big, tiny, odd, tiny], b, op._spans[0], scratch)
+        first = op._kept_nodes([big, tiny, odd, tiny], op._spans[0])
         assert first == [True, False, True, True]
 
 
+def _recorded_bounds(monkeypatch):
+    """Make ``DiagonalOperator._kept_nodes`` record every result it returns,
+    from any thread, in the list this returns."""
+    bounds, results = DiagonalOperator._kept_nodes, []
+
+    def recorded(systems, span):
+        results.append(bounds(systems, span))
+        return results[-1]
+
+    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(recorded))
+    return results
+
+
 def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
+    # bounding reads only a block's span, so apply_sum bounds every block,
+    # once, even for this truncated scheme, whose bounds keep every node
     op = DiagonalOperator(np.logspace(0, 16, 3 * _BLOCK))
     b = np.repeat([1.0, 2.0, 3.0], _BLOCK)
-    starts = range(0, op.dimension, _BLOCK)
-    scratch = np.full(_BLOCK, np.nan)
-    # this truncated scheme's scales span less than 2**55: apply_sum bounds
-    # no block, and the bounds would keep every node anyway
     truncated = scheme(50, Params(0.5, 0.01), "truncated").systems
-    bounds = DiagonalOperator._kept_nodes
-
-    def into_scratch(systems, rhs, span, _):
-        return bounds(systems, rhs, span, scratch)
-
-    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(into_scratch))
-    op.apply_sum(truncated, b)
-    assert np.isnan(scratch).all()
-    blocks = [(b[lo : lo + _BLOCK], span) for lo, span in zip(starts, op._spans)]
-    assert all(all(op._kept_nodes(truncated, rhs, span, np.empty(_BLOCK))) for rhs, span in blocks)
+    results = _recorded_bounds(monkeypatch)
+    got = op.apply_sum(truncated, b)
+    assert len(results) == len(op._spans) == 3
+    assert all(all(kept) for kept in results)
+    assert np.array_equal(got.view(np.int64), _coefficient_sum(op.entries, truncated, b).view(np.int64))
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
-    assert all(all(op._kept_nodes(spread, rhs, span, scratch)) for rhs, span in blocks)
+    assert all(all(op._kept_nodes(spread, span)) for span in op._spans)
 
 
 def test_diagonal_skip_gate_is_a_cost_rule(monkeypatch):
     # equal scales, yet the second term is under 2**-55 of the first over
-    # entries in [1, 4]: the skip is provable, and apply_sum, which does not
-    # look for it, still gives the default sum's bits
+    # entries in [1, 4]: apply_sum takes the provable skip and still gives
+    # the plain coefficient sum's bits
     op = DiagonalOperator(np.linspace(1.0, 4.0, 1000))
     b = np.ones(op.dimension)
     systems = [ShiftedSystem(1.0, 0.0, 1.0), ShiftedSystem(1.0, 1e20, 1.0)]
-    assert op._kept_nodes(systems, b, op._spans[0], np.empty(op.dimension)) == [True, False]
-    want = OperatorHandle.apply_sum(op, systems, b)
-
-    def unused(*_):
-        raise AssertionError("apply_sum bounded a block")
-
-    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(unused))
+    results = _recorded_bounds(monkeypatch)
     got = op.apply_sum(systems, b)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert results == [[True, False]]
+    assert np.array_equal(got.view(np.int64), _coefficient_sum(op.entries, systems, b).view(np.int64))
 
 
 @pytest.mark.parametrize("mode", ["balanced", "truncated"])
