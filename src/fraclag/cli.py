@@ -93,7 +93,7 @@ def _cmd_scalar_sweep(args, p: Params) -> int:
     # 10**log10(x) overflows for x near the double limit.  Only the points
     # that overflow are replaced: elsewhere the last point can differ from
     # --lambda-max in its last bit, and those grids stay as they were
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         grid = np.logspace(math.log10(args.lambda_min), math.log10(args.lambda_max), args.points)
     grid[~np.isfinite(grid)] = args.lambda_max
     records = error_sweep(p, args.n, grid, args.mode)

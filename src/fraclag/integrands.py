@@ -129,13 +129,13 @@ def _coordinate(lam: float, p: Params) -> float:
 
 def _evaluate(kernel, x, lam, p: Params):
     """``kernel(x, lam, p)`` for ``_f1`` or ``_f2`` once ``x`` is checked
-    finite and nonnegative and ``lam >= 1``, with the warnings of the
-    kernel's 0-limits silenced; a 0-d result comes back as a float."""
+    finite and nonnegative and ``lam >= 1``, with every floating-point flag
+    of the kernel's 0-limits ignored; a 0-d result comes back as a float."""
     x = _real(x, "x")
     if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("x must be finite and nonnegative")
     lam = _spectral(lam)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         out = kernel(x, lam, p)
     return out if out.ndim else float(out)
 
@@ -166,8 +166,8 @@ def f2(x, lam, p: Params):
 
 # The kernels below are the formulas of f1 and f2 and nothing else.  They take
 # float arrays or np.float64 scalars, trust that x is finite and nonnegative
-# and lam >= 1, and leave the overflow and divide-by-zero warnings of the
-# 0-limits to the caller's np.errstate.
+# and lam >= 1, and leave the flags of the 0-limits, such as exp(-x)
+# underflowing, to the caller's np.errstate, which ignores them all.
 
 
 def _f1(x, lam, p: Params):

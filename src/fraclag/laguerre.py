@@ -97,9 +97,12 @@ def _weights_from_nodes(n: int, x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _build_rule(n: int) -> QuadratureRule:
     j = np.arange(1, n + 1, dtype=float)
-    nodes = eigvalsh_tridiagonal(2.0 * j - 1.0, j[:-1])
-    nodes = _refine_nodes(n, nodes)
-    weights = _weights_from_nodes(n, nodes)
+    # from n = 190 on the last weights underflow: 0 or a subnormal is then
+    # their value to double precision
+    with np.errstate(all="ignore"):
+        nodes = eigvalsh_tridiagonal(2.0 * j - 1.0, j[:-1])
+        nodes = _refine_nodes(n, nodes)
+        weights = _weights_from_nodes(n, nodes)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(n=n, nodes=nodes, weights=weights)

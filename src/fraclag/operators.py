@@ -14,24 +14,27 @@ checks every solution before adding it (``_solution``);
 ``DiagonalOperator.solve_shifted`` allocates only the vector it returns.
 The diagonal kernel splits its blocks over the cores this process may use,
 so ``taskset`` and cpusets cap its threads: the calling thread runs one part
-and a pool built for the call runs the rest, each under the caller's numpy
-error state, and the pool is joined before ``apply_sum`` returns.  The pool
-starts a thread only for a part it is given, so a diagonal of one block
-starts none.  The blocks are all of one size, so parts of equally many
-blocks get equal work.
+and a pool built for the call runs the rest, and the pool is joined before
+``apply_sum`` returns.  The pool starts a thread only for a part it is
+given, so a diagonal of one block starts none.  The blocks are all of one
+size, so parts of equally many blocks get equal work.
 
 The diagonal kernel's result is the plain coefficient sum bit for bit:
 each scale / (sigma + tau*d) added in node order, one product with b, and
 every +inf entry pinned to +0.0.  It leaves out, for a whole block, a node
 whose coefficient provably cannot change a bit of the block's sum
 (``DiagonalOperator._kept_nodes``), and adds scale for a node whose solve is
-the identity over the block; neither raises a floating-point flag from the
-passes it leaves out.  Per-solve backends give one another's bits; for J
-systems with fields >= 0 and no term that underflows, the kernel's normal
-finite results are within (2J + 6) * 2**-53 relative of theirs, since a
-per-solve term is rounded twice and a coefficient once before its product
-with b.  The README gives the kernel's measured timings and the share of
-passes it spares.
+the identity over the block.  Per-solve backends give one another's bits;
+for J systems with fields >= 0 and no term that underflows, the kernel's
+normal finite results are within (2J + 6) * 2**-53 relative of theirs,
+since a per-solve term is rounded twice and a coefficient once before its
+product with b.  The README gives the kernel's measured timings and the
+share of passes it spares.
+
+Every numpy pass here on the package's own data runs under
+``np.errstate(all="ignore")``, and ``apply_scheme`` alone judges a result
+that is not finite; only a user's ``solve_shifted`` or ``apply_sum`` runs
+under the caller's numpy error state.
 """
 
 from __future__ import annotations
@@ -111,9 +114,9 @@ class OperatorHandle(ABC):
         through ``_solution``, so one that shares memory with ``b``, is not
         real and numeric or is not of ``b``'s shape raises OperatorError;
         this is the one check of every per-solve result.  As in the diagonal
-        kernel, the sum ignores overflow and invalid operations, and
-        ``apply_scheme`` judges a result that is not finite; the solves run
-        under the caller's numpy error state.
+        kernel, the sum ignores every floating-point flag, and
+        ``apply_scheme`` judges a result that is not finite; only the solves
+        run under the caller's numpy error state.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -122,7 +125,7 @@ class OperatorHandle(ABC):
             y = _solution(self.solve_shifted(s.sigma, s.tau, b), b, (s.sigma, s.tau))
             # acc += s.scale * y, a block at a time so the scaled term is
             # never a whole vector
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 for part, out in blocks:
                     np.add(out, s.scale * y[part], out=out)
             del y  # frees this solution before the next one is allocated
@@ -176,7 +179,7 @@ class DiagonalOperator(OperatorHandle):
         # underflow to 0 for far-tail nodes; 0 * inf would poison the +inf
         # entries, so those are pinned to the 0 limit explicitly.
         out = np.empty_like(self._d)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             np.multiply(tau, self._d, out=out)
             np.add(sigma, out, out=out)
             np.divide(b, out, out=out)
@@ -198,8 +201,8 @@ class DiagonalOperator(OperatorHandle):
         not depend on W or on the block size.  In each block a node is
         skipped when ``_kept_nodes`` proves from the block's span alone that
         its coefficient cannot change a bit of the block's sum, and a node
-        whose solve is the identity on the block adds scale.  Neither raises
-        a floating-point flag from the passes it leaves out.  Every block,
+        whose solve is the identity on the block adds scale.  Each part
+        ignores every floating-point flag.  Every block,
         one of +inf entries alone too, runs the same passes, and every +inf
         entry is pinned to +0.0 afterwards.
         """
@@ -207,20 +210,12 @@ class DiagonalOperator(OperatorHandle):
         acc = np.zeros_like(b)
         starts = range(0, b.size, self._block)
         workers = min(_usable_cores(), len(starts))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # numpy's error state is per thread: each part takes the caller's
-            errors, on_error = np.geterr(), np.geterrcall()
-
-            def part(t: int) -> None:
-                with np.errstate(call=on_error, **errors):
-                    self._sum_blocks(systems, b, acc, starts[t::workers])
-
-            # leaving the block waits for every part, since each writes into acc
-            with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-                futures = [pool.submit(part, t) for t in range(1, workers)]
-                part(0)
-            for future in futures:
-                future.result()
+        # leaving the block waits for every part, since each writes into acc
+        with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+            futures = [pool.submit(self._sum_blocks, systems, b, acc, starts[t::workers]) for t in range(1, workers)]
+            self._sum_blocks(systems, b, acc, starts[::workers])
+        for future in futures:
+            future.result()
         # the resolvent annihilates +inf entries, as solve_shifted's pin
         # says; the kernel left (scale/inf)*b there, or a NaN from 0*inf.
         acc[self._infinite] = 0.0
@@ -230,24 +225,25 @@ class DiagonalOperator(OperatorHandle):
         """Write r(d)*b into acc over every block starting at ``starts``,
         leaving out the terms of r that ``_kept_nodes`` rules out."""
         scratch = np.empty(self._block)
-        for lo in starts:
-            span = self._spans[lo // self._block]
-            hi = lo + self._block
-            d, out = self._d[lo:hi], acc[lo:hi]
-            term = scratch[: d.size]
-            d_max = span[1]
-            for s in compress(systems, self._kept_nodes(systems, span)):
-                if s.sigma == 1.0 and 0.0 <= s.tau * d_max <= _IDENTITY:
-                    # rounding is monotone, so every tau*d_i here is in
-                    # [0, 2**-53], 1 + tau*d_i rounds to 1 and the term is
-                    # scale / 1
-                    np.add(out, s.scale, out=out)
-                else:
-                    np.multiply(s.tau, d, out=term)
-                    np.add(s.sigma, term, out=term)
-                    np.divide(s.scale, term, out=term)
-                    np.add(out, term, out=out)
-            np.multiply(out, b[lo:hi], out=out)
+        with np.errstate(all="ignore"):
+            for lo in starts:
+                span = self._spans[lo // self._block]
+                hi = lo + self._block
+                d, out = self._d[lo:hi], acc[lo:hi]
+                term = scratch[: d.size]
+                d_max = span[1]
+                for s in compress(systems, self._kept_nodes(systems, span)):
+                    if s.sigma == 1.0 and 0.0 <= s.tau * d_max <= _IDENTITY:
+                        # rounding is monotone, so every tau*d_i here is in
+                        # [0, 2**-53], 1 + tau*d_i rounds to 1 and the term is
+                        # scale / 1
+                        np.add(out, s.scale, out=out)
+                    else:
+                        np.multiply(s.tau, d, out=term)
+                        np.add(s.sigma, term, out=term)
+                        np.divide(s.scale, term, out=term)
+                        np.add(out, term, out=out)
+                np.multiply(out, b[lo:hi], out=out)
 
     @staticmethod
     def _kept_nodes(systems: Sequence[ShiftedSystem], span: tuple[float, float]) -> list[bool]:
@@ -317,14 +313,12 @@ class DenseOperator(OperatorHandle):
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         b = _as_vector(b, self.dimension)
-        # as in the diagonal's solve and kernel, an overflow is left to
-        # apply_scheme's check of the result
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
         b = _as_vector(b, self.dimension)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
 
 
@@ -418,19 +412,22 @@ def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
         raise ValueError("b must be finite")
     y = _prefactor_sum(op, vec, built)
     if not np.isfinite(y).all():
-        k = math.frexp(float(np.abs(vec).max()))[1]
-        small = _prefactor_sum(op, np.ldexp(vec, -k), built)
-        with np.errstate(over="ignore"):  # a true result past the limit is refused below
-            y = np.ldexp(small, k)
+        y = _prefactor_sum(op, vec, built, math.frexp(float(np.abs(vec).max()))[1])
     if not np.isfinite(y).all():
         raise OperatorError("the result is not finite: the solves overflowed or returned inf or NaN")
     return y
 
 
-def _prefactor_sum(op: OperatorHandle, vec: np.ndarray, built: Scheme) -> np.ndarray:
-    """The prefactor times ``op.apply_sum(built.systems, vec)``, checked by
-    ``_solution``."""
-    return built.params.prefactor * _solution(op.apply_sum(built.systems, vec), vec)
+def _prefactor_sum(op: OperatorHandle, vec: np.ndarray, built: Scheme, k: int = 0) -> np.ndarray:
+    """``2**k`` times the prefactor times
+    ``op.apply_sum(built.systems, vec * 2**-k)``, checked by ``_solution``.
+    Only ``apply_sum`` runs under the caller's numpy error state."""
+    with np.errstate(all="ignore"):
+        small = np.ldexp(vec, -k) if k else vec
+    y = _solution(op.apply_sum(built.systems, small), small)
+    with np.errstate(all="ignore"):
+        y = built.params.prefactor * y
+        return np.ldexp(y, k) if k else y
 
 
 def apply_resolvent(

@@ -74,7 +74,7 @@ def exact_diagonal_apply(entries: Sequence[float], b, p: Params) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
     # h > 0, so an inf entry gives an inf denominator and a clean 0 quotient
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         return vec / (1.0 + p.h * d**p.alpha)
 
 
@@ -112,7 +112,7 @@ def _reference_integral(
 
     knee = _knee(lam, p, which)
     points = [knee] if 0.0 < knee < upper else None
-    with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore"):
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
         value, achieved = quad(
             integrand, 0.0, upper, epsabs=epsabs, epsrel=epsrel, limit=500, points=points
