@@ -1034,23 +1034,33 @@ def test_callback_may_call_the_threaded_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_only_a_user_solver_sees_the_callers_error_state(monkeypatch, cores):
-    # only the second block meets sigma + tau*d == 0, and only in the second
-    # system; with 2 cores the diagonal kernel runs that block on a pool
-    # thread
+@pytest.mark.parametrize("kind", ["diagonal", "callback"])
+def test_kernel_parts_run_under_the_callers_error_state(monkeypatch, kind, cores):
+    # the caller's error state reaches a part of the sum only when that part
+    # is a user's own solver; built-in parts ignore every flag. Only the
+    # second block meets sigma + tau*d == 0, and only in the second system;
+    # with 2 cores the diagonal kernel runs that block on a pool thread
     d = np.full(3 * _BLOCK, 4.0)
     d[_BLOCK + 5] = 1.0
     op = DiagonalOperator(d)
     _set_cores(monkeypatch, cores)
     systems = (ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(-1.0, 1.0, 1.0))
     b = np.ones(d.size)
-    with np.errstate(divide="ignore"):
-        want = _coefficient_sum(d, systems, b)
+    if kind == "diagonal":
+        with np.errstate(divide="ignore"):
+            want = _coefficient_sum(d, systems, b)
+        with np.errstate(all="raise"):
+            got = op.apply_sum(systems, b)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            with pytest.raises(OperatorError, match="not finite"):
+                apply_scheme(op, b, Scheme(systems, Params(0.5, 0.01), 0.0))
+        return
+    # a callback around the built-in solve sees no flag of its own arithmetic
+    builtin = CallbackOperator(d.size, op.solve_shifted)
+    want = builtin.apply_sum(systems, b)
     with np.errstate(all="raise"):
-        got = op.apply_sum(systems, b)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        with pytest.raises(OperatorError, match="not finite"):
-            apply_scheme(op, b, Scheme(systems, Params(0.5, 0.01), 0.0))
+        got = builtin.apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # a solver of the user's own runs under the caller's state
     user = CallbackOperator(d.size, lambda sigma, tau, rhs: rhs / (sigma + tau * d))
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
