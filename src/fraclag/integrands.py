@@ -239,3 +239,9 @@ def bounds(p: Params) -> tuple[float, float]:
     the resonance factor ``1 / sin(alpha*pi)**2``."""
     return 1.0, (p.alpha / (p.alpha + 1.0)) * math.exp(-p.log_h_root)
 
+
+def _log_bounds(p: Params) -> tuple[float, float]:
+    """``(log K1, log K2)`` of ``bounds``, formed without ``K2``: at tiny ``h``
+    a quotient of a small figure by ``K2`` underflows to 0, whose log has no
+    value, and one of ``K2`` by a small figure overflows."""
+    return 0.0, math.log(p.alpha / (p.alpha + 1.0)) - p.log_h_root

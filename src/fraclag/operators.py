@@ -21,15 +21,16 @@ size, so parts of equally many blocks get equal work.
 
 The diagonal kernel's result is the plain coefficient sum bit for bit:
 each scale / (sigma + tau*d) added in node order, one product with b, and
-every +inf entry pinned to +0.0.  It leaves out, for a whole block, a node
-whose coefficient provably cannot change a bit of the block's sum
-(``DiagonalOperator._kept_nodes``), and adds scale for a node whose solve is
-the identity over the block.  Per-solve backends give one another's bits;
-for J systems with fields >= 0 and no term that underflows, the kernel's
-normal finite results are within (2J + 6) * 2**-53 relative of theirs,
-since a per-solve term is rounded twice and a coefficient once before its
-product with b.  The README gives the kernel's measured timings and the
-share of passes it spares.
+every +inf entry pinned to +0.0.  ``DiagonalOperator._kept_nodes`` decides
+each (block, node) once, from the block's span: a node whose coefficient
+provably cannot change a bit of the block's sum is left out, one whose
+denominator rounds to one double at both ends of the span adds that one
+constant, and any other runs four vector passes.  Per-solve backends give
+one another's bits; for J systems with fields >= 0 and no term that
+underflows, the kernel's normal finite results are within (2J + 6) * 2**-53
+relative of theirs, since a per-solve term is rounded twice and a
+coefficient once before its product with b.  The README gives the kernel's
+measured timings and the share of passes it spares.
 
 Every numpy pass here on the package's own data runs under
 ``np.errstate(all="ignore")``, and ``apply_scheme`` alone judges a result
@@ -43,7 +44,6 @@ import math
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,10 +74,6 @@ _BLOCK = 1 << 16
 # A term below 2**-55 times every coefficient sum it meets is under a
 # quarter ulp of each, so adding it rounds back to the sum.
 _NEGLIGIBLE = 2.0**55
-
-# 1 + t rounds to 1 for 0 <= t <= 2**-53, the tie included, which rounds to
-# even; a system (1, tau, scale) whose tau*d stays there is scale * I.
-_IDENTITY = 2.0**-53
 
 
 class OperatorError(RuntimeError):
@@ -198,13 +194,14 @@ class DiagonalOperator(OperatorHandle):
         calling thread runs part 0 and a pool the rest, which starts no
         thread when W is 1.  Each entry's coefficient sum is formed inside
         its block, in node order, and multiplied by b once, so the bits do
-        not depend on W or on the block size.  In each block a node is
-        skipped when ``_kept_nodes`` proves from the block's span alone that
-        its coefficient cannot change a bit of the block's sum, and a node
-        whose solve is the identity on the block adds scale.  Each part
-        ignores every floating-point flag.  Every block,
-        one of +inf entries alone too, runs the same passes, and every +inf
-        entry is pinned to +0.0 afterwards.
+        not depend on W or on the block size.  ``_kept_nodes`` decides each
+        node once per block, from the block's span alone: it is skipped when
+        its coefficient provably cannot change a bit of the block's sum,
+        adds one constant when its denominator rounds to one double over
+        the block, and runs four vector passes otherwise.  Each part ignores
+        every floating-point flag.  Every block, one of +inf entries alone
+        too, is decided by the same rule, and every +inf entry is pinned to
+        +0.0 afterwards.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -223,62 +220,74 @@ class DiagonalOperator(OperatorHandle):
 
     def _sum_blocks(self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range) -> None:
         """Write r(d)*b into acc over every block starting at ``starts``,
-        leaving out the terms of r that ``_kept_nodes`` rules out."""
+        with the terms of r that ``_kept_nodes`` keeps, each a constant it
+        gives or four vector passes."""
         scratch = np.empty(self._block)
         with np.errstate(all="ignore"):
             for lo in starts:
-                span = self._spans[lo // self._block]
                 hi = lo + self._block
                 d, out = self._d[lo:hi], acc[lo:hi]
                 term = scratch[: d.size]
-                d_max = span[1]
-                for s in compress(systems, self._kept_nodes(systems, span)):
-                    if s.sigma == 1.0 and 0.0 <= s.tau * d_max <= _IDENTITY:
-                        # rounding is monotone, so every tau*d_i here is in
-                        # [0, 2**-53], 1 + tau*d_i rounds to 1 and the term is
-                        # scale / 1
-                        np.add(out, s.scale, out=out)
-                    else:
+                for s, constant in self._kept_nodes(systems, self._spans[lo // self._block]):
+                    if constant is None:
                         np.multiply(s.tau, d, out=term)
                         np.add(s.sigma, term, out=term)
                         np.divide(s.scale, term, out=term)
                         np.add(out, term, out=out)
+                    else:
+                        np.add(out, constant, out=out)
                 np.multiply(out, b[lo:hi], out=out)
 
     @staticmethod
-    def _kept_nodes(systems: Sequence[ShiftedSystem], span: tuple[float, float]) -> list[bool]:
+    def _kept_nodes(systems: Sequence[ShiftedSystem], span: tuple[float, float]) -> list[tuple[ShiftedSystem, float | None]]:
         """For a block of ``apply_sum`` with least and greatest finite entry
-        ``span``, (inf, inf) when every entry is +inf, whether each system's
-        term of r may change a bit of the block's coefficient sum.
+        ``span``, (inf, inf) when every entry is +inf, each system whose term
+        of r may change a bit of the block's coefficient sum, in node order,
+        with that term when it is one constant over the block, else None.
 
-        While the fields of the systems so far are finite and >= 0, each
-        term ``scale / (sigma + tau*d_i)`` is >= 0, so the sum c_i never
-        shrinks and is at least every term added so far.  Rounding is
-        monotone, so over the block's finite entries
+        Both come from the end denominators ``sigma + tau*dmin`` and
+        ``sigma + tau*dmax``, rounded as the vector passes round them.
+        Rounding is monotone, so for either sign of tau the computed
+        ``sigma + tau*d_i`` is monotone over the block's finite entries.
+
+        Skip.  While the fields of the systems so far are finite and >= 0,
+        each term ``scale / (sigma + tau*d_i)`` is >= 0, so the sum c_i never
+        shrinks and is at least every term added so far; over the block
         ``scale / (sigma + tau*dmin)`` bounds each computed term from above
         and ``scale / (sigma + tau*dmax)`` bounds it from below.  A term
         whose upper bound is 2**-55 of an earlier lower bound is thus under
-        a quarter ulp of every c_i and adds nothing under round-to-nearest;
-        +inf entries are pinned to zero afterwards anyway.  On a block of
-        +inf entries alone sigma + tau*dmin is +inf or NaN, so each lower
-        bound is 0 or NaN, the floor stays 0 and every node is kept.  From
-        the first system with a negative or non-finite field on, every node
-        is kept.
+        a quarter ulp of every c_i and adds nothing under round-to-nearest.
+        On a block of +inf entries alone sigma + tau*dmin is +inf or NaN, so
+        each lower bound is 0 or NaN, the floor stays 0 and no node is
+        skipped.  From the first system with a negative or non-finite field
+        on, no node is skipped.
+
+        Constant.  When both end denominators round to one double ``den``,
+        by monotonicity every entry's does, and the four passes give every
+        entry ``scale / den``, bit for bit.  NaN never compares equal, so it
+        takes the passes.  So does a zero, whose quotient Python refuses;
+        only zeros compare equal with another bit pattern, and -0 cannot
+        arise anyway: it needs sigma == tau == 0, which ``ShiftedSystem``
+        refuses, or a nonzero |tau*d_i| below the least subnormal, which
+        d_i >= 1 rules out.  +inf entries lie outside the span and are
+        pinned to zero afterwards.
         """
         inf = math.inf
         d_min, d_max = span
         floor = 0.0  # the least c_i proven so far
-        kept = [True] * len(systems)
-        for j, s in enumerate(systems):
+        bounded = True  # every field so far is finite and >= 0
+        kept = []
+        for s in systems:
             sigma, tau, scale = s.sigma, s.tau, s.scale
-            if not (0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf):
-                break
-            least = sigma + tau * d_min
-            if least > 0.0:
-                kept[j] = not (scale / least * _NEGLIGIBLE < floor)
-                term = scale / (sigma + tau * d_max)
+            low, high = sigma + tau * d_min, sigma + tau * d_max
+            bounded = bounded and 0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf
+            if bounded and low > 0.0:
+                if scale / low * _NEGLIGIBLE < floor:
+                    continue
+                term = scale / high
                 if term > floor:
                     floor = term
+            kept.append((s, scale / low if low == high != 0.0 else None))
         return kept
 
 
@@ -296,15 +305,16 @@ class DenseOperator(OperatorHandle):
             raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        scale = np.abs(a).max()
-        if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric")
-        ev, self._q = np.linalg.eigh(a)
-        # eigh is backward stable, so a spectrum starting at the floor may read
-        # up to about N*eps*max|ev| below it; clamping that is below eigh's own
-        # error
-        if ev[0] < _SPECTRAL_FLOOR - ev.size * np.finfo(float).eps * np.abs(ev).max():
-            raise ValueError(f"matrix spectrum must be >= {_SPECTRAL_FLOOR:g}, smallest eigenvalue is {float(ev[0])!r}")
+        with np.errstate(all="ignore"):
+            scale = np.abs(a).max()
+            if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
+                raise ValueError("matrix is not symmetric")
+            ev, self._q = np.linalg.eigh(a)
+            # eigh is backward stable, so a spectrum starting at the floor may
+            # read up to about N*eps*max|ev| below it; clamping that is below
+            # eigh's own error
+            if ev[0] < _SPECTRAL_FLOOR - ev.size * np.finfo(float).eps * np.abs(ev).max():
+                raise ValueError(f"matrix spectrum must be >= {_SPECTRAL_FLOOR:g}, smallest eigenvalue is {float(ev[0])!r}")
         self._diag = DiagonalOperator(np.maximum(ev, _SPECTRAL_FLOOR))
 
     @property

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _coordinate, _f1, _f2, _real, _scalar, _spectral, _spectral_scalar, bounds
+from .integrands import Params, _coordinate, _f1, _f2, _log_bounds, _real, _scalar, _spectral, _spectral_scalar
 from .operators import DiagonalOperator, apply_scheme
 from .planner import mode_counts, scheme
 
@@ -130,11 +130,11 @@ def representation_check(lam: float, p: Params, tol: float) -> RepresentationChe
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lam = _spectral_scalar(lam)
-    k1, k2 = bounds(p)
     budget = tol / 10.0
     total = 0.0
-    for which, k in ((1, k1), (2, k2)):
-        upper = max(50.0, math.log(k / budget))
+    # log(K_i / budget) in logs: K2 / budget overflows at tiny h
+    for which, log_k in zip((1, 2), _log_bounds(p)):
+        upper = max(50.0, log_k - math.log(budget))
         value, achieved = _reference_integral(which, lam, p, upper, epsabs=budget, epsrel=0.0)
         if not math.isfinite(value) or achieved > tol / 2.0:
             raise OracleError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .estimates import CURVATURE_C, eps1, eps2, n_star, n_star_star, standard_estimate
-from .integrands import Params, ShiftedSystem, _scalar, bounds, node_system
+from .integrands import Params, ShiftedSystem, _log_bounds, _scalar, node_system
 from .laguerre import _rule_size, gauss_laguerre, truncation_index
 
 __all__ = [
@@ -93,10 +93,12 @@ def balance_m(n: int, p: Params) -> int:
 
 def thresholds(n: int, m: int, p: Params) -> tuple[float, float]:
     """Node cutoffs ``(s1, s2)``: contributions beyond them are smaller than
-    the quadrature errors already committed.  Clamped below at 0."""
-    k1, k2 = bounds(p)
-    s1 = max(0.0, -math.log(eps1(n, p) / k1))
-    s2 = max(0.0, -math.log(eps2(m, p) / k2))
+    the quadrature errors already committed, ``log K_i - log eps_i``, taken
+    in logs since ``eps2 / K2`` underflows to 0 at tiny ``h``.  Clamped below
+    at 0."""
+    log_k1, log_k2 = _log_bounds(p)
+    s1 = max(0.0, log_k1 - math.log(eps1(n, p)))
+    s2 = max(0.0, log_k2 - math.log(eps2(m, p)))
     return s1, s2
 
 
@@ -117,7 +119,7 @@ def analytic_j(n: int, m: int, p: Params) -> tuple[int, int]:
         raw_n = 2.0 * math.sqrt(3.0) * (a * n * n / pi**2) ** (1.0 / 3.0)
     j_n = min(max(math.floor(raw_n + _ROUND_FUZZ), 1), n)
 
-    lead = math.log(a / (a + 1.0)) - p.log_h_root
+    _, lead = _log_bounds(p)
     if m <= n_star_star(p):
         inner = lead + math.sqrt(8.0 * m * (1.0 - a) * (a + 1.0) * pi / a)
     else:

@@ -44,6 +44,15 @@ def test_plan_accepts_fractional_alpha(tmp_path, capsys):
     assert int(row[1]) == 16
 
 
+def test_plan_at_tiny_h(capsys):
+    # eps2(m) / K2 underflows to 0 here; the cut was once a raw math
+    # domain error
+    code = main(["plan", "--alpha", "0.5", "--h", "1e-154", "--n", "3000"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[:2] == ["3000", "1000"]
+
+
 def test_plan_for_tolerance_path(capsys):
     code = main(["plan", "--alpha", "0.5", "--h", "1.0", "--tol", "1.0"])
     assert code == 0

@@ -300,6 +300,23 @@ def test_dense_operator_rejects_bad_matrices():
         DenseOperator(np.array([[float("inf"), 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("state", [{}, {"all": "raise"}], ids=["default", "raise"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1e308, -1e308], [1e308, 1e308]], "matrix is not symmetric"),  # a - a.T overflows
+        ([[1e-320, 0.0], [0.0, 1e-320]], "matrix spectrum must be >= 1"),  # 1e-12 * scale underflows
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_dense_operator_refuses_extreme_matrices_without_a_flag(matrix, message, state):
+    # the checks' own arithmetic raises or warns nothing under either state
+    with warnings.catch_warnings(), np.errstate(**state):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            DenseOperator(matrix)
+
+
 def _rotated(eigs, seed):
     """Q diag(eigs) Q^T for a random orthogonal Q, symmetrized exactly."""
     rng = np.random.default_rng(seed)
@@ -898,6 +915,104 @@ def test_diagonal_identity_nodes_match_the_default_bitwise(monkeypatch, tau, cor
     assert np.all(got[5::7919] == 0.0)
 
 
+_THREE = 2 * _BLOCK + 3  # entries of three kernel blocks
+
+
+def _constant_second_nodes():
+    # h = 1e-100: tau = 1e-200, so sigma + tau*d rounds to sigma everywhere
+    d = np.logspace(0, 16, _THREE)
+    d[[4, _THREE // 2, -1]] = np.inf
+    return d, scheme(50, Params(0.5, 1e-100), "standard").systems[50:], None
+
+
+def _constant_tau_zero():
+    d = np.logspace(0, 16, _THREE)
+    d[7] = np.inf
+    systems = [ShiftedSystem(2.5, 0.0, 1.0), ShiftedSystem(0.3, 0.0, 7.0), ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(4.0, 0.0, 0.5)]
+    return d, systems, [[True, True, False, True]] * 3
+
+
+def _constant_negative_tau():
+    # 1e20 - d rounds to 1e20 below half its ulp, 8192; 8000.5 - d stays
+    # away from 0 and takes every value
+    d = np.linspace(1.0, 4000.0, _THREE)
+    d[-2] = np.inf
+    systems = [ShiftedSystem(1e20, -1.0, 1.0), ShiftedSystem(8000.5, -1.0, 1.0), ShiftedSystem(1.0, 1.0, 1.0)]
+    return d, systems, [[True, False, False]] * 3
+
+
+def _constant_one_ulp():
+    # 1 + 2**-53 * d is 1 at d = 1, the tie, and 1 + 2**-52 above 4/3, so only
+    # the first block's end denominators differ, by one ulp
+    d = np.linspace(1.0, 2.0, _THREE)
+    low, high = (1.0 + 2.0**-53 * end for end in DiagonalOperator(d)._spans[0])
+    assert np.nextafter(low, 2.0) == high
+    systems = [ShiftedSystem(1.0, 2.0**-53, 1.0), ShiftedSystem(1.0, 2.0**-60, 3.0)]
+    return d, systems, [[False, True], [True, True], [True, True]]
+
+
+def _constant_infinite_block():
+    # the middle block is +inf alone: tau > 0 gives 1/inf, tau == 0 a NaN
+    # and tau < 0 -1/inf there, and the pin decides every bit
+    d = np.logspace(0, 16, _THREE)
+    block = DiagonalOperator(d)._block
+    d[block : 2 * block] = np.inf
+    systems = [ShiftedSystem(1.0, 1e-3, 1.0), ShiftedSystem(1.0, 0.0, 2.0), ShiftedSystem(3.0, -1e-20, 1.0)]
+    return d, systems, [[False, True, False], [True, False, True], [False, True, False]]
+
+
+def _constant_zero_denominator():
+    # -1 + d is 0 over the first two blocks, where the passes give
+    # 1/0; Python's float division refuses it, so it is no constant
+    d = np.ones(_THREE)
+    d[-9:] = 2.0
+    systems = [ShiftedSystem(-1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1.0)]
+    return d, systems, [[False, True], [False, True], [False, False]]
+
+
+_CONSTANT_CASES = {
+    "second-nodes": _constant_second_nodes,
+    "tau-zero": _constant_tau_zero,
+    "negative-tau": _constant_negative_tau,
+    "one-ulp": _constant_one_ulp,
+    "zero-denominator": _constant_zero_denominator,
+    "infinite-block": _constant_infinite_block,
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_CONSTANT_CASES))
+def test_diagonal_constant_nodes_match_the_coefficient_sum(monkeypatch, case, cores):
+    # per block, which kept nodes add one constant; None: every one does
+    d, systems, constant = _CONSTANT_CASES[case]()
+    op = DiagonalOperator(d)
+    assert len(op._spans) == 3
+    kept = [op._kept_nodes(systems, span) for span in op._spans]
+    if constant is None:
+        assert all(kept) and all(c is not None for block in kept for _, c in block)
+    else:
+        assert [[c is not None for _, c in block] for block in kept] == constant
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(d.size)
+    b[[1, 2, 3]] = -0.0, 5e-324, -2.5e-310
+    with np.errstate(divide="ignore"):
+        want = _coefficient_sum(d, systems, b)
+    _set_cores(monkeypatch, cores)
+    got = op.apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(got[np.isinf(d)] == 0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_diagonal_nodes_at_tiny_h_are_all_constant(mode):
+    # at h = 1e-100 every tau*d over 16 decades is under half an ulp of its
+    # sigma, so every kept node of either rule adds one constant
+    op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
+    systems = scheme(50, Params(0.5, 1e-100), mode).systems
+    constants = [c for span in op._spans for _, c in op._kept_nodes(systems, span)]
+    assert constants and all(c is not None for c in constants)
+
+
 def _three_blocks():
     """A diagonal of three kernel blocks, a right-hand side and systems."""
     rng = np.random.default_rng(11)
@@ -1098,7 +1213,7 @@ def test_diagonal_skips_most_tail_terms_at_the_paper_point():
     # quarter ulp of the running coefficient sum in most blocks
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 0.01), "standard").systems
-    kept = np.array([op._kept_nodes(systems, span) for span in op._spans])
+    kept = np.array([_kept_mask(systems, op._kept_nodes(systems, span)) for span in op._spans])
     assert kept.shape == (4, len(systems))
     assert kept[:, 0].all()  # nothing is known before the first term
     assert 1.0 - kept.mean() >= 0.4
@@ -1112,21 +1227,36 @@ def test_diagonal_skip_needs_nonnegative_systems():
     op = DiagonalOperator(d)
     assert op._spans[1] == (math.inf, math.inf)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    assert op._kept_nodes([big, tiny], op._spans[0]) == [True, False]
+    assert _kept_mask([big, tiny], op._kept_nodes([big, tiny], op._spans[0])) == [True, False]
     # a term of the other sign may shrink the sum: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
-        first = op._kept_nodes([big, tiny, odd, tiny], op._spans[0])
+        first = _kept_mask([big, tiny, odd, tiny], op._kept_nodes([big, tiny, odd, tiny], op._spans[0]))
         assert first == [True, False, True, True]
 
 
+def _kept_mask(systems, kept):
+    """Whether ``DiagonalOperator._kept_nodes`` kept each of ``systems``, read
+    from its result ``kept``, which lists kept systems in node order."""
+    rest = [s for s, _ in kept]
+    mask = []
+    for s in systems:
+        mask.append(bool(rest) and rest[0] is s)
+        if mask[-1]:
+            rest.pop(0)
+    assert rest == []
+    return mask
+
+
 def _recorded_bounds(monkeypatch):
-    """Make ``DiagonalOperator._kept_nodes`` record every result it returns,
-    from any thread, in the list this returns."""
+    """Make ``DiagonalOperator._kept_nodes`` record, from any thread, which
+    systems each of its results keeps, as a ``_kept_mask``, in the list this
+    returns."""
     bounds, results = DiagonalOperator._kept_nodes, []
 
     def recorded(systems, span):
-        results.append(bounds(systems, span))
-        return results[-1]
+        kept = bounds(systems, span)
+        results.append(_kept_mask(systems, kept))
+        return kept
 
     monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(recorded))
     return results
@@ -1145,7 +1275,7 @@ def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     assert np.array_equal(got.view(np.int64), _coefficient_sum(op.entries, truncated, b).view(np.int64))
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
-    assert all(all(op._kept_nodes(spread, span)) for span in op._spans)
+    assert all(all(_kept_mask(spread, op._kept_nodes(spread, span))) for span in op._spans)
 
 
 def test_diagonal_skip_gate_is_a_cost_rule(monkeypatch):

@@ -188,9 +188,18 @@ def test_representation_check_validates_tol():
 
 
 def test_representation_check_refuses_an_infinite_tol():
-    # unrefused, log(K / (tol/10)) would raise a raw math domain error
+    # unrefused, the window log K - log(tol/10) would be -inf
     with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
         representation_check(1.0, Params(0.5, 1.0), tol=math.inf)
+
+
+def test_representation_check_windows_in_logs_at_tiny_h():
+    # K2 / (tol/10) overflows here; an infinite window made scipy refuse
+    # with "Infinity inputs cannot be used with break points"
+    p = Params(0.5, 1e-150)
+    assert bounds(p)[1] / 1e-9 == math.inf
+    check = representation_check(10.0, p, 1e-8)
+    assert check.gap <= 1e-8
 
 
 def test_representation_check_reports_unreachable_budget():

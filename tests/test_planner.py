@@ -8,8 +8,8 @@ import pytest
 
 from fraclag import planner
 from fraclag.estimates import eps1, eps2, g_sequences, n_star, q_estimates, standard_estimate
-from fraclag.integrands import Params
-from fraclag.laguerre import MAX_RULE_SIZE, gauss_laguerre
+from fraclag.integrands import Params, bounds
+from fraclag.laguerre import MAX_RULE_SIZE, gauss_laguerre, truncation_index
 from fraclag.planner import (
     MODES,
     Plan,
@@ -98,6 +98,20 @@ def test_thresholds_frozen():
     p = Params(0.75, 0.01)
     _, s2 = thresholds(5, 2, p)
     assert s2 == pytest.approx(S2_M2_A075_H001, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, h, n", [(0.5, 1e-154, 3000), (0.7, 3e-216, 500)])
+def test_thresholds_hold_where_eps2_over_k2_underflows(alpha, h, n):
+    # eps2(m) / K2 is 0 in doubles here: the cut is log K2 - log eps2(m)
+    p = Params(alpha, h)
+    m = balance_m(n, p)
+    assert eps2(m, p) / bounds(p)[1] == 0.0
+    s1, s2 = thresholds(n, m, p)
+    assert s1 == -math.log(eps1(n, p))
+    assert s2 == pytest.approx(math.log(bounds(p)[1]) - math.log(eps2(m, p)), rel=1e-15)
+    plan = make_plan(n, p)
+    assert (plan.k_n, plan.k_m) == (truncation_index(gauss_laguerre(n), s1), truncation_index(gauss_laguerre(m), s2))
+    assert scheme(n, p, "truncated").solves == plan.inversions < n + m
 
 
 def test_thresholds_clamp_at_zero():
