@@ -251,11 +251,12 @@ def run() -> NoReturn:
     Finalizing the imported modules and stopping the BLAS threads is a large
     share of a short command's time and reaches no output: by the time
     ``main()`` returns, every output file is closed and every thread it
-    started is joined, and stdout and stderr are flushed here.  The status goes through
-    ``sys.exit`` as usual when a flush fails, so a closed pipe is reported as
-    before, and under a tracer or profiler, which write their results at
-    exit.  Exceptions from ``main()``, argparse's exits among them, take the
-    usual path; in-process callers call ``main()``.
+    started is joined, and stdout and stderr are flushed here.  The status
+    goes through ``sys.exit`` as usual when a flush fails, so a closed pipe
+    is reported, and under a tracer, a profiler or a ``sys.monitoring`` tool
+    (Python 3.12+), which write their results at exit.  Exceptions from
+    ``main()``, argparse's exits among them, take the usual path; in-process
+    callers call ``main()``.
     """
     status = main()
     try:
@@ -264,7 +265,9 @@ def run() -> NoReturn:
                 stream.flush()
     except OSError:
         sys.exit(status)
-    if sys.gettrace() is None and sys.getprofile() is None:
+    monitoring = getattr(sys, "monitoring", None)
+    monitored = monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))
+    if sys.gettrace() is None and sys.getprofile() is None and not monitored:
         os._exit(status)
     sys.exit(status)
 

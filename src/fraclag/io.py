@@ -9,6 +9,7 @@ and repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,6 +52,10 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _scalar_tokens(path) -> list[float]:
+    """The numbers of a whitespace-separated file.  A token that reads as
+    +-inf must spell infinity (``inf`` or ``infinity``, any case, with an
+    optional sign); one past the double range, such as ``1e400``, is
+    refused rather than read as an infinity."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -58,9 +63,12 @@ def _scalar_tokens(path) -> list[float]:
     values = []
     for token in text.split():
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError as exc:
             raise ValueError(f"{path}: bad scalar token {token!r}") from exc
+        if math.isinf(value) and token.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise ValueError(f"{path}: scalar token {token!r} is outside the double range")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no values found")
     return values

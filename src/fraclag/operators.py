@@ -5,34 +5,20 @@ the resolvent approximation is a weighted sum of those solutions, which every
 backend computes through ``OperatorHandle.apply_sum``.  The default sums
 ``solve_shifted`` results in node order.  On a diagonal that sum is the
 scalar rational function r(d) = sum_j scale_j / (sigma_j + tau_j*d) times
-b, and ``DiagonalOperator`` forms it so, over equal cache-sized blocks of its
-entries; ``DenseOperator`` runs that kernel in its eigenbasis.
+b, and ``DiagonalOperator`` forms it so; ``DenseOperator`` runs that kernel
+in its eigenbasis.  Each rule lives in the docstring of the function that
+applies it: the per-solve memory bound in ``OperatorHandle.apply_sum``, the
+thread split and the +inf pin in ``DiagonalOperator.apply_sum``, the skip
+and constant proofs in ``DiagonalOperator._kept_nodes``, the one-thread BLAS
+section in ``DenseOperator`` and the overflow retry in ``apply_scheme``.
 
-The per-solve default runs serially, since each solve in flight holds a
-vector.  It holds the sum, one solution and one block of scaled terms, and
-checks every solution before adding it (``_solution``);
-``DiagonalOperator.solve_shifted`` allocates only the vector it returns.
-The diagonal kernel splits its blocks over the cores this process may use,
-so ``taskset`` and cpusets cap its threads: the calling thread runs one part
-and a pool built for the call runs the rest, and the pool is joined before
-``apply_sum`` returns.  The pool starts a thread only for a part it is
-given, so a diagonal of one block starts none.  The blocks are all of one
-size, so parts of equally many blocks get equal work.
+Agreement.  Per-solve backends over the same solves give one another's
+bits.  The diagonal kernel rounds each coefficient once before its product
+with b, where a per-solve term is rounded twice, so for J systems with
+fields >= 0 and no term that underflows its normal finite results are
+within (2J + 6) * 2**-53 relative of a per-solve sum's.
 
-The diagonal kernel's result is the plain coefficient sum bit for bit:
-each scale / (sigma + tau*d) added in node order, one product with b, and
-every +inf entry pinned to +0.0.  ``DiagonalOperator._kept_nodes`` decides
-each (block, node) once, from the block's span: a node whose coefficient
-provably cannot change a bit of the block's sum is left out, one whose
-denominator rounds to one double at both ends of the span adds that one
-constant, and any other runs four vector passes.  Per-solve backends give
-one another's bits; for J systems with fields >= 0 and no term that
-underflows, the kernel's normal finite results are within (2J + 6) * 2**-53
-relative of theirs, since a per-solve term is rounded twice and a
-coefficient once before its product with b.  The README gives the kernel's
-measured timings and the share of passes it spares.
-
-Every numpy pass here on the package's own data runs under
+Floating point.  Every numpy pass here on the package's own data runs under
 ``np.errstate(all="ignore")``, and ``apply_scheme`` alone judges a result
 that is not finite; only a user's ``solve_shifted`` or ``apply_sum`` runs
 under the caller's numpy error state.
@@ -40,10 +26,14 @@ under the caller's numpy error state.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +65,9 @@ _BLOCK = 1 << 16
 # quarter ulp of each, so adding it rounds back to the sum.
 _NEGLIGIBLE = 2.0**55
 
+# held while a one-thread BLAS section has changed the process-wide count
+_BLAS_LOCK = threading.Lock()
+
 
 class OperatorError(RuntimeError):
     """A backend returned a solution or sum that the apply cannot use: one
@@ -89,9 +82,7 @@ class OperatorHandle(ABC):
     A subclass defines ``dimension`` and either ``apply_sum``, when it forms
     the sum in one go, or ``solve_shifted(sigma, tau, b)``, returning the
     solution of (sigma*I + tau*L)y = b, which the default ``apply_sum``
-    calls once per system.  Two per-solve backends over the same solves
-    give the same bits; one that forms the sum otherwise, as the diagonal
-    kernel does, agrees with them up to rounding."""
+    calls once per system.  Backends agree as the module docstring says."""
 
     @property
     @abstractmethod
@@ -109,10 +100,7 @@ class OperatorHandle(ABC):
         float64 vector; anything else raises ValueError.  Each solution goes
         through ``_solution``, so one that shares memory with ``b``, is not
         real and numeric or is not of ``b``'s shape raises OperatorError;
-        this is the one check of every per-solve result.  As in the diagonal
-        kernel, the sum ignores every floating-point flag, and
-        ``apply_scheme`` judges a result that is not finite; only the solves
-        run under the caller's numpy error state.
+        this is the one check of every per-solve result.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -183,25 +171,26 @@ class DiagonalOperator(OperatorHandle):
         return out
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
-        """r(d) * b, with r(d) = sum_j scale_j / (sigma_j + tau_j*d) added in
-        node order: the weighted sum of ``solve_shifted`` results up to
-        rounding, computed block by block with one scratch block per worker
-        and no allocation per system.
+        """r(d) * b, bit for bit the plain coefficient sum: c_i += scale_j /
+        (sigma_j + tau_j*d_i) for each system in node order, then c_i * b_i,
+        and +0.0 at every +inf entry.  It allocates the result and one
+        scratch block per worker, none per system; ``_kept_nodes`` proves
+        that the terms it leaves out or adds as one constant keep every bit.
 
-        The entries are cut into the fewest blocks of at most 2**16, all of
-        one size but a last one that may be shorter, and the blocks are
-        dealt to W = min(usable cores, blocks) parts, ``starts[t::W]``: the
-        calling thread runs part 0 and a pool the rest, which starts no
-        thread when W is 1.  Each entry's coefficient sum is formed inside
-        its block, in node order, and multiplied by b once, so the bits do
-        not depend on W or on the block size.  ``_kept_nodes`` decides each
-        node once per block, from the block's span alone: it is skipped when
-        its coefficient provably cannot change a bit of the block's sum,
-        adds one constant when its denominator rounds to one double over
-        the block, and runs four vector passes otherwise.  Each part ignores
-        every floating-point flag.  Every block, one of +inf entries alone
-        too, is decided by the same rule, and every +inf entry is pinned to
-        +0.0 afterwards.
+        Thread split.  The entries are cut into the fewest blocks of at most
+        2**16, all of one size but a last one that may be shorter, and the
+        blocks are dealt to W = min(usable cores, blocks) parts,
+        ``starts[t::W]``: the calling thread runs part 0 and a pool the
+        rest, which starts no thread when W is 1, and the pool is joined
+        before this returns.  ``taskset`` and cpusets cap W.  Each entry's
+        coefficient sum is formed inside its block, in node order, and
+        multiplied by b once, so the bits do not depend on W or on the block
+        size.
+
+        +inf pin.  The resolvent annihilates a +inf entry.  Every block, one
+        of +inf entries alone too, is summed by the same rule, which leaves
+        (scale/inf)*b or a NaN from 0*inf there, and every +inf entry is set
+        to +0.0 afterwards.
         """
         b = _as_vector(b, self.dimension)
         acc = np.zeros_like(b)
@@ -213,8 +202,6 @@ class DiagonalOperator(OperatorHandle):
             self._sum_blocks(systems, b, acc, starts[::workers])
         for future in futures:
             future.result()
-        # the resolvent annihilates +inf entries, as solve_shifted's pin
-        # says; the kernel left (scale/inf)*b there, or a NaN from 0*inf.
         acc[self._infinite] = 0.0
         return acc
 
@@ -269,8 +256,8 @@ class DiagonalOperator(OperatorHandle):
         only zeros compare equal with another bit pattern, and -0 cannot
         arise anyway: it needs sigma == tau == 0, which ``ShiftedSystem``
         refuses, or a nonzero |tau*d_i| below the least subnormal, which
-        d_i >= 1 rules out.  +inf entries lie outside the span and are
-        pinned to zero afterwards.
+        d_i >= 1 rules out.  +inf entries lie outside the span; ``apply_sum``
+        pins them.
         """
         inf = math.inf
         d_min, d_max = span
@@ -297,6 +284,18 @@ class DenseOperator(OperatorHandle):
     Every shifted matrix sigma*I + tau*A shares A's eigenvectors Q, so one
     ``eigh`` at construction turns each solve into the diagonal kernel
     between a product with Q^T and one with Q.
+
+    One-thread BLAS section.  OpenBLAS splits ``eigh`` and a product
+    differently at different thread counts, and so rounds them differently.
+    So ``eigh`` and each product run with numpy's bundled OpenBLAS set to
+    one thread, and the previous count is restored afterwards: the bits are
+    the same on any number of cores and under any ``OPENBLAS_NUM_THREADS``.
+    The count is process-wide; a lock keeps concurrent sections from
+    restoring it wrongly, and a BLAS call that another thread makes during
+    a section runs on one thread too.  The diagonal kernel between the
+    products runs outside the section.  Where numpy bundles no OpenBLAS
+    whose count can be set, the section changes nothing and the bits may
+    vary with the BLAS thread count.
     """
 
     def __init__(self, matrix):
@@ -309,7 +308,7 @@ class DenseOperator(OperatorHandle):
             scale = np.abs(a).max()
             if scale > 0.0 and np.abs(a - a.T).max() > 1e-12 * scale:
                 raise ValueError("matrix is not symmetric")
-            ev, self._q = np.linalg.eigh(a)
+            ev, self._q = _on_one_blas_thread(np.linalg.eigh, a)
             # eigh is backward stable, so a spectrum starting at the floor may
             # read up to about N*eps*max|ev| below it; clamping that is below
             # eigh's own error
@@ -322,14 +321,48 @@ class DenseOperator(OperatorHandle):
         return self._diag.dimension
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        b = _as_vector(b, self.dimension)
-        with np.errstate(all="ignore"):
-            return self._q @ self._diag.solve_shifted(sigma, tau, self._q.T @ b)
+        return self._in_eigenbasis(lambda z: self._diag.solve_shifted(sigma, tau, z), b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
+        return self._in_eigenbasis(lambda z: self._diag.apply_sum(systems, z), b)
+
+    def _in_eigenbasis(self, kernel: Callable[[np.ndarray], np.ndarray], b) -> np.ndarray:
+        """Q @ kernel(Q^T @ b), each product in a one-thread BLAS section."""
         b = _as_vector(b, self.dimension)
         with np.errstate(all="ignore"):
-            return self._q @ self._diag.apply_sum(systems, self._q.T @ b)
+            y = kernel(_on_one_blas_thread(np.matmul, self._q.T, b))
+            return _on_one_blas_thread(np.matmul, self._q, y)
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's
+    wheels bundle in ``numpy.libs``, or None when there is none; looked up
+    at the first ``DenseOperator``, not at import."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _on_one_blas_thread(call, *args):
+    """``call(*args)`` in ``DenseOperator``'s one-thread BLAS section."""
+    threads = _openblas_threads()
+    if threads is None:
+        return call(*args)
+    get, set_ = threads
+    with _BLAS_LOCK:
+        old = get()
+        set_(1)
+        try:
+            return call(*args)
+        finally:
+            set_(old)
 
 
 class CallbackOperator(OperatorHandle):
@@ -342,9 +375,8 @@ class CallbackOperator(OperatorHandle):
     still overwrite it and so must be given a copy.  Each solution is
     checked by the default ``apply_sum``, as any backend's is: one that
     shares memory with ``b``, as such a solver returns, raises
-    OperatorError.  A solution with inf or NaN is summed as the diagonal
-    kernel sums one, and ``apply_scheme`` refuses a result that is not
-    finite after its retry on a scaled ``b``.
+    OperatorError.  A solution with inf or NaN is summed like any other,
+    and ``apply_scheme`` judges the result.
     """
 
     def __init__(self, dimension: int, solve: Callable[[float, float, np.ndarray], np.ndarray]):
@@ -430,8 +462,7 @@ def apply_scheme(op: OperatorHandle, b, built: Scheme) -> np.ndarray:
 
 def _prefactor_sum(op: OperatorHandle, vec: np.ndarray, built: Scheme, k: int = 0) -> np.ndarray:
     """``2**k`` times the prefactor times
-    ``op.apply_sum(built.systems, vec * 2**-k)``, checked by ``_solution``.
-    Only ``apply_sum`` runs under the caller's numpy error state."""
+    ``op.apply_sum(built.systems, vec * 2**-k)``, checked by ``_solution``."""
     with np.errstate(all="ignore"):
         small = np.ldexp(vec, -k) if k else vec
     y = _solution(op.apply_sum(built.systems, small), small)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -507,8 +508,9 @@ _GETTRACE, _GETPROFILE = sys.gettrace, sys.getprofile
 
 @pytest.fixture
 def process(monkeypatch):
-    """``run`` on an argv, with ``os._exit`` raising ``_Exited`` and neither
-    a tracer nor a profiler seen (the tier-1 runner may trace the tests)."""
+    """``run`` on an argv, with ``os._exit`` raising ``_Exited`` and no
+    tracer, profiler or ``sys.monitoring`` tool seen (the tier-1 runner may
+    trace the tests)."""
 
     def exit_(status):
         raise _Exited(status)
@@ -516,6 +518,7 @@ def process(monkeypatch):
     monkeypatch.setattr(os, "_exit", exit_)
     monkeypatch.setattr(sys, "gettrace", lambda: None)
     monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", None, raising=False)
 
     def call(*argv):
         monkeypatch.setattr(sys, "argv", ["fraclag", *argv])
@@ -572,18 +575,26 @@ def test_run_without_stdout(tmp_path, monkeypatch, process):
     assert exc.value.args == (0,)
 
 
-@pytest.mark.parametrize("hook", ["profile", "trace"])
+@pytest.mark.parametrize("hook", ["profile", "trace", "monitoring"])
 def test_run_exits_normally_when_profiled_or_traced(monkeypatch, process, hook):
-    # cProfile and trace write their results after the code returns
-    get, set_ = {"profile": (_GETPROFILE, sys.setprofile), "trace": (_GETTRACE, sys.settrace)}[hook]
-    monkeypatch.setattr(sys, f"get{hook}", get)
-    old = get()
-    set_(lambda *event: None)
+    # cProfile, trace and sys.monitoring tools such as coverage.py's write
+    # their results after the code returns
+    if hook == "monitoring":
+        # Python 3.12's sys.monitoring with one tool registered, as id 1
+        monitoring = types.SimpleNamespace(get_tool={1: "coverage.py"}.get)
+        monkeypatch.setattr(sys, "monitoring", monitoring, raising=False)
+        set_ = old = None
+    else:
+        get, set_ = {"profile": (_GETPROFILE, sys.setprofile), "trace": (_GETTRACE, sys.settrace)}[hook]
+        monkeypatch.setattr(sys, f"get{hook}", get)
+        old = get()
+        set_(lambda *event: None)
     try:
         with pytest.raises(SystemExit) as exc:
             process(*_PLAN)
     finally:
-        set_(old)
+        if set_ is not None:
+            set_(old)
     assert exc.value.code == 0
 
 
@@ -603,6 +614,31 @@ def test_run_leaves_usage_errors_to_argparse(process, capsys):
         process("plan", "--alpha", "0.5", "--h", "0.01")
     assert exc.value.code == 2
     assert "one of the arguments --n --tol is required" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(operators._usable_cores() < 2, reason="one usable core: OpenBLAS runs one thread at either setting")
+def test_dense_apply_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at 400 entries eigh's bits differ between one and two OpenBLAS threads
+    # unless the one-thread section holds; the matrix comes from a file, since
+    # building it in each process would feed eigh bits that already differ
+    n = 400
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))
+    a = (q * np.logspace(0, 8, n)) @ q.T
+    np.savetxt(tmp_path / "A.csv", (a + a.T) / 2, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "b.txt", np.random.default_rng(2).standard_normal(n), fmt="%.17g")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    children = {
+        threads: subprocess.Popen(
+            [sys.executable, "-m", "fraclag.cli", "apply", "--alpha", "0.5", "--h", "0.01", "--n", "50",
+             "--mode", "truncated", "--matrix-file", str(tmp_path / "A.csv"),
+             "--vector-file", str(tmp_path / "b.txt"), "--out", str(tmp_path / f"y.{threads}")],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for threads in ("1", "2")
+    }
+    for child in children.values():
+        child.communicate(timeout=120)
+        assert child.returncode == 0
+    assert (tmp_path / "y.1").read_bytes() == (tmp_path / "y.2").read_bytes()
 
 
 def test_the_module_process_matches_main(tmp_path, capsys):

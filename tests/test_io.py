@@ -57,6 +57,23 @@ def test_read_diagonal_accepts_infinity(tmp_path):
     assert got[2] == 2.5
 
 
+def test_read_diagonal_accepts_every_spelling_of_infinity(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("inf\n+Infinity\nINF\n-infinity\n")
+    assert read_diagonal(path).tolist() == [math.inf, math.inf, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("read", [read_diagonal, read_vector])
+@pytest.mark.parametrize("token", ["1e400", "-1e309", "+2E308"])
+def test_read_refuses_a_token_outside_the_double_range(tmp_path, read, token):
+    # float() reads it as an infinity, which a diagonal would take as +inf
+    path = tmp_path / "d.txt"
+    path.write_text(f"1.0\n{token}\n")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: scalar token {token!r} is outside the double range"
+
+
 def test_read_vector_rejects_non_finite(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("1.0\ninf\n")

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ def _coefficient_sum(d, systems, b):
     """r(d)*b as plainly as it can be written: the coefficients
     scale / (sigma + tau*d) added in node order, one product with ``b``, and
     every +inf entry pinned to +0.0.  It does not depend on blocks, skips,
-    identity nodes or threads, and ``DiagonalOperator.apply_sum`` gives its
+    constant nodes or threads, and ``DiagonalOperator.apply_sum`` gives its
     bits."""
     d = np.asarray(d, dtype=float)
     c = np.zeros(d.size)
@@ -378,6 +379,55 @@ def test_dense_apply_is_deterministic(monkeypatch):
     _set_cores(monkeypatch, 2)
     pooled = apply_resolvent(op, b, p, 40).tobytes()
     assert first == again == pooled
+
+
+def test_dense_sections_restore_the_blas_thread_count(monkeypatch):
+    # eight callers switching often: without the lock a caller can save
+    # another's 1 as the count to restore, and the count ends at 1
+    threads = operators._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    get, set_ = threads
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (seen.append(get()), eigh(a))[1])
+    _, mat = _rotated(np.logspace(0, 4, 20), 3)
+    b = np.random.default_rng(3).standard_normal(20)
+    systems = scheme(20, Params(0.5, 0.01), "standard").systems
+    old, interval = get(), sys.getswitchinterval()
+    set_(2)
+    try:
+        want = DenseOperator(mat).apply_sum(systems, b).tobytes()
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: DenseOperator(mat).apply_sum(systems, b).tobytes()) for _ in range(2000)]
+            got = [future.result(timeout=60) for future in futures]
+        count = get()
+    finally:
+        sys.setswitchinterval(interval)
+        set_(old)
+    assert got == [want] * 2000
+    assert seen == [1] * 2001  # every eigh ran on one thread
+    assert count == 2
+
+
+def test_dense_operator_runs_without_a_blas_thread_setter(monkeypatch):
+    # a numpy whose bundled library lacks the setter: the sections change
+    # nothing, and on a matrix this small the bits are the one-thread ones
+    _, mat = _rotated(np.logspace(0, 4, 50), 2)
+    b = np.random.default_rng(2).standard_normal(50)
+    p = Params(0.5, 0.01)
+    want = apply_resolvent(DenseOperator(mat), b, p, 40).tobytes()
+    monkeypatch.setattr(operators.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    operators._openblas_threads.cache_clear()
+    try:
+        assert operators._openblas_threads() is None
+        op = DenseOperator(mat)
+        got = [apply_resolvent(op, b, p, 40).tobytes(), op.solve_shifted(1.0, 0.5, b).tobytes()]
+    finally:
+        operators._openblas_threads.cache_clear()
+    assert got[0] == want
+    assert got[1] == DenseOperator(mat).solve_shifted(1.0, 0.5, b).tobytes()
 
 
 def test_callback_operator_parity():
@@ -888,33 +938,6 @@ def test_diagonal_blocks_share_the_entries_equally(size, block):
     assert len(op._spans) == -(-size // _BLOCK) == -(-size // block)
 
 
-# tau*2**1000 is exactly 2**-53, and 1 + 2**-53 rounds to even, to 1
-_TIE = 2.0**-53 / 2.0**1000
-
-
-@pytest.mark.parametrize("cores", [1, 2, 3])
-@pytest.mark.parametrize("tau", [_TIE, np.nextafter(_TIE, 1.0), 0.0], ids=["tie", "above", "zero"])
-def test_diagonal_identity_nodes_match_the_default_bitwise(monkeypatch, tau, cores):
-    # every block's greatest finite entry is 2**1000: at the tie and at
-    # tau == 0 the kernel adds scale as the node's coefficient, one ulp of
-    # tau above the tie it divides
-    size = 2 * _BLOCK + 3
-    rng = np.random.default_rng(9)
-    d = 2.0 ** rng.uniform(0.0, 1000.0, size)
-    d[::1000] = 2.0**1000
-    d[5::7919] = np.inf
-    b = rng.standard_normal(size)
-    b[[1, 2, 3]] = -0.0, 5e-324, -2.5e-310
-    op = DiagonalOperator(d)
-    assert all(span[1] == 2.0**1000 for span in op._spans)
-    systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, tau, 0.5), ShiftedSystem(1.0, tau, 3.0)]
-    want = _coefficient_sum(d, systems, b)
-    _set_cores(monkeypatch, cores)
-    got = op.apply_sum(systems, b)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.all(got[5::7919] == 0.0)
-
-
 _THREE = 2 * _BLOCK + 3  # entries of three kernel blocks
 
 
@@ -970,6 +993,23 @@ def _constant_zero_denominator():
     return d, systems, [[False, True], [False, True], [False, False]]
 
 
+def _constant_tie(which):
+    # every block's greatest finite entry is 2**1000, and tau*2**1000 is
+    # 2**-53 at the tie, where 1 + 2**-53 rounds to even, to 1: nodes 2-3
+    # are constant at the tie and at tau == 0, and one ulp of tau above the
+    # tie they run the passes
+    tie = 2.0**-53 / 2.0**1000
+    tau = {"tie": tie, "above": np.nextafter(tie, 1.0), "zero": 0.0}[which]
+    rng = np.random.default_rng(9)
+    d = 2.0 ** rng.uniform(0.0, 1000.0, _THREE)
+    d[::1000] = 2.0**1000
+    d[5::7919] = np.inf
+    assert all(span[1] == 2.0**1000 for span in DiagonalOperator(d)._spans)
+    systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, tau, 0.5), ShiftedSystem(1.0, tau, 3.0)]
+    constant = which != "above"
+    return d, systems, [[False, constant, constant]] * 3
+
+
 _CONSTANT_CASES = {
     "second-nodes": _constant_second_nodes,
     "tau-zero": _constant_tau_zero,
@@ -977,6 +1017,9 @@ _CONSTANT_CASES = {
     "one-ulp": _constant_one_ulp,
     "zero-denominator": _constant_zero_denominator,
     "infinite-block": _constant_infinite_block,
+    "tie": lambda: _constant_tie("tie"),
+    "tie-above": lambda: _constant_tie("above"),
+    "tie-zero": lambda: _constant_tie("zero"),
 }
 
 
