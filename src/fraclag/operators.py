@@ -6,11 +6,12 @@ backend computes through ``OperatorHandle.apply_sum``.  The default sums
 ``solve_shifted`` results in node order.  On a diagonal that sum is the
 scalar rational function r(d) = sum_j scale_j / (sigma_j + tau_j*d) times
 b, and ``DiagonalOperator`` forms it so; ``DenseOperator`` runs that kernel
-in its eigenbasis.  Each rule lives in the docstring of the function that
-applies it: the per-solve memory bound in ``OperatorHandle.apply_sum``, the
-thread split and the +inf pin in ``DiagonalOperator.apply_sum``, the skip
-and constant proofs in ``DiagonalOperator._kept_nodes``, the one-thread BLAS
-section in ``DenseOperator`` and the overflow retry in ``apply_scheme``.
+in its eigenbasis, and its per-solve call is that fused sum of one system.
+Each rule lives in the docstring of the function that applies it: the
+per-solve memory bound in ``OperatorHandle.apply_sum``, the thread split and
+the +inf pin in ``DiagonalOperator.apply_sum``, the skip and constant proofs
+in ``DiagonalOperator._kept_nodes``, the one-thread BLAS section in
+``DenseOperator`` and the overflow retry in ``apply_scheme``.
 
 Agreement.  Per-solve backends over the same solves give one another's
 bits.  The diagonal kernel rounds each coefficient once before its product
@@ -282,8 +283,9 @@ class DenseOperator(OperatorHandle):
     """Dense symmetric matrix with spectrum in [1, inf).
 
     Every shifted matrix sigma*I + tau*A shares A's eigenvectors Q, so one
-    ``eigh`` at construction turns each solve into the diagonal kernel
-    between a product with Q^T and one with Q.
+    ``eigh`` at construction turns the whole sum into the diagonal kernel
+    between a product with Q^T and one with Q.  That ``apply_sum`` is the
+    one arithmetic path: ``solve_shifted`` is the fused sum of one system.
 
     One-thread BLAS section.  OpenBLAS splits ``eigh`` and a product
     differently at different thread counts, and so rounds them differently.
@@ -321,16 +323,17 @@ class DenseOperator(OperatorHandle):
         return self._diag.dimension
 
     def solve_shifted(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        return self._in_eigenbasis(lambda z: self._diag.solve_shifted(sigma, tau, z), b)
+        """``apply_sum((ShiftedSystem(sigma, tau, 1.0),), b)``, so a shift
+        that ``ShiftedSystem`` refuses raises ValueError; kept for per-solve
+        callers, such as a ``CallbackOperator`` over it."""
+        return self.apply_sum((ShiftedSystem(sigma, tau, 1.0),), b)
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
-        return self._in_eigenbasis(lambda z: self._diag.apply_sum(systems, z), b)
-
-    def _in_eigenbasis(self, kernel: Callable[[np.ndarray], np.ndarray], b) -> np.ndarray:
-        """Q @ kernel(Q^T @ b), each product in a one-thread BLAS section."""
+        """Q @ r(D) (Q^T @ b), with r(D) the diagonal kernel over the
+        eigenvalues and each product in a one-thread BLAS section."""
         b = _as_vector(b, self.dimension)
         with np.errstate(all="ignore"):
-            y = kernel(_on_one_blas_thread(np.matmul, self._q.T, b))
+            y = self._diag.apply_sum(systems, _on_one_blas_thread(np.matmul, self._q.T, b))
             return _on_one_blas_thread(np.matmul, self._q, y)
 
 

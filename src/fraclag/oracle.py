@@ -192,8 +192,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
 
     records = []
     for lam, err, int1, int2 in zip(grid, err_total.tolist(), sums1.tolist(), sums2.tolist()):
-        est = q_estimates(lam, n1, p)
-        est2 = est if n2 == n1 else q_estimates(lam, n2, p)
+        est, est2 = q_estimates(lam, n1, p), q_estimates(lam, n2, p)
         records.append(
             SweepRecord(
                 lam=lam,

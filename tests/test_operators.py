@@ -369,6 +369,23 @@ def test_dense_apply_sum_matches_default(mode):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("setter", ["openblas", "none"])
+@pytest.mark.parametrize("mode", MODES)
+def test_dense_solve_shifted_is_the_fused_sum_of_one_system(monkeypatch, mode, setter):
+    # a dense per-solve call is apply_sum over its one system, bit for bit,
+    # with the one-thread BLAS section setting the count or changing nothing
+    if setter == "none":
+        monkeypatch.setattr(operators, "_openblas_threads", lambda: None)
+    elif operators._openblas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    _, mat = _rotated(np.logspace(0, 8, 40), 4)
+    op = DenseOperator(mat)
+    b = np.random.default_rng(4).standard_normal(40)
+    for s in scheme(50, Params(0.5, 0.01), mode).systems:
+        want = op.apply_sum((ShiftedSystem(s.sigma, s.tau, 1.0),), b)
+        assert op.solve_shifted(s.sigma, s.tau, b).tobytes() == want.tobytes()
+
+
 def test_dense_apply_is_deterministic(monkeypatch):
     _, mat = _rotated(np.logspace(0, 4, 50), 2)
     op = DenseOperator(mat)
