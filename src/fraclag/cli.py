@@ -16,11 +16,11 @@ from typing import NoReturn
 import numpy as np
 
 from . import io
-from .estimates import eps1, eps2, g_sequences, n_star, n_star_star
+from .estimates import GSequences, eps1, eps2, g_sequences, n_star, n_star_star
 from .integrands import _SPECTRAL_FLOOR, Params
 from .laguerre import MAX_RULE_SIZE
 from .operators import DenseOperator, DiagonalOperator, OperatorError, apply_scheme
-from .oracle import SWEEP_HEADER, error_sweep, exact_diagonal_apply
+from .oracle import SWEEP_HEADER, _entry_errors, error_sweep
 from .planner import MODES, make_plan, mode_counts, plan_for_tolerance, scheme
 
 __all__ = ["main", "run", "build_parser", "benchmark_diagonal"]
@@ -104,22 +104,14 @@ def _cmd_scalar_sweep(args, p: Params) -> int:
 def _cmd_sequences(args, p: Params) -> int:
     ns = n_star(p)
     nss = n_star_star(p)
-    header = ["n", "g_I", "g_II", "g_III", "g_IV", "eps1", "eps2", "n_star", "n_star_star"]
-    rows = []
-    for n in range(1, args.n_max + 1):
-        g = g_sequences(n, p)
-        rows.append((n, g.g_I, g.g_II, g.g_III, g.g_IV,
-                     eps1(n, p), eps2(n, p), ns, nss))
+    header = ["n", *GSequences._fields, "eps1", "eps2", "n_star", "n_star_star"]
+    rows = [(n, *g_sequences(n, p), eps1(n, p), eps2(n, p), ns, nss) for n in range(1, args.n_max + 1)]
     _emit(args.out, header, rows)
     return 0
 
 
+# the Plan attributes a plan row holds, in column order
 _PLAN_HEADER = ["n", "m", "k_n", "j_n", "k_m", "j_m", "predicted_error", "inversions"]
-
-
-def _plan_row(plan):
-    return (plan.n, plan.m, plan.k_n, plan.j_n, plan.k_m, plan.j_m,
-            plan.predicted_error, plan.inversions)
 
 
 def _cmd_plan(args, p: Params) -> int:
@@ -127,32 +119,23 @@ def _cmd_plan(args, p: Params) -> int:
         plans = [plan_for_tolerance(args.tol, p)]
     else:
         plans = [make_plan(n, p) for n in args.n]
-    _emit(args.out, _PLAN_HEADER, [_plan_row(plan) for plan in plans])
+    _emit(args.out, _PLAN_HEADER, [[getattr(plan, name) for name in _PLAN_HEADER] for plan in plans])
     return 0
 
 
 def _cmd_operator_error(args, p: Params) -> int:
-    entries = io.read_diagonal(args.diag_file) if args.diag_file else benchmark_diagonal()
-    op = DiagonalOperator(entries)
-    b = np.ones(op.dimension)
-    exact = exact_diagonal_apply(entries, b, p)
+    op = DiagonalOperator(io.read_diagonal(args.diag_file) if args.diag_file else benchmark_diagonal())
     wanted = MODES if args.mode == "all" else (args.mode,)
-    header = ["n", "inversions", "err_standard", "est_standard",
-              "err_balanced", "est_balanced", "err_truncated", "est_truncated"]
+    header = ["n", "inversions", *(f"{kind}_{mode}" for mode in MODES for kind in ("err", "est"))]
     cost_mode = "truncated" if args.mode == "all" else args.mode
     rows = []
     for n in args.n_list:
         built = {mode: scheme(n, p, mode) for mode in MODES}
-        err = {
-            mode: float(np.abs(apply_scheme(op, b, built[mode]) - exact).max())
-            for mode in wanted
-        }
-        rows.append((
-            n, built[cost_mode].solves,
-            err.get("standard", ""), built["standard"].predicted_error,
-            err.get("balanced", ""), built["balanced"].predicted_error,
-            err.get("truncated", ""), built["truncated"].predicted_error,
-        ))
+        row = [n, built[cost_mode].solves]
+        for mode in MODES:
+            err = float(_entry_errors(op, built[mode]).max()) if mode in wanted else ""
+            row += [err, built[mode].predicted_error]
+        rows.append(row)
     _emit(args.out, header, rows)
     return 0
 

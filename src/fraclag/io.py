@@ -40,15 +40,20 @@ def format_scalar(value) -> str:
 
 def read_matrix(path) -> np.ndarray:
     """Dense matrix from comma-separated rows, no header; ``#`` starts a
-    comment."""
+    comment.  Every entry must be finite: ``inf``, ``nan`` and a number past
+    the double range, such as ``1e400``, are refused with the file's name."""
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         # loadtxt warns on a file without rows, then returns a (0, 1) array
-        if any(line.split("#", 1)[0].strip() for line in lines):
-            return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
+        has_rows = any(line.split("#", 1)[0].strip() for line in lines)
+        matrix = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2) if has_rows else None
     except ValueError as exc:
         raise ValueError(f"{path}: cannot parse matrix CSV: {exc}") from exc
-    raise ValueError(f"{path}: no values found")
+    if matrix is None:
+        raise ValueError(f"{path}: no values found")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return matrix
 
 
 def _scalar_tokens(path) -> list[float]:

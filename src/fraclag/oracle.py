@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .estimates import q_estimates
 from .integrands import Params, _coordinate, _f1, _f2, _log_bounds, _real, _scalar, _spectral, _spectral_scalar
 from .operators import DiagonalOperator, apply_scheme
-from .planner import mode_counts, scheme
+from .planner import Scheme, mode_counts, scheme
 
 __all__ = [
     "OracleError",
@@ -86,6 +86,14 @@ def exact_scalar_resolvent(lam, p: Params):
     lam = _spectral(lam)
     out = exact_diagonal_apply(lam.ravel(), np.ones(lam.size), p).reshape(lam.shape)
     return out if lam.ndim else float(out)
+
+
+def _entry_errors(op: DiagonalOperator, built: Scheme) -> np.ndarray:
+    """``|exact_diagonal_apply - apply_scheme|`` per entry of ``op`` for a
+    ``b`` of ones: the one measurement of a scheme's error on a diagonal,
+    0 at a +inf entry."""
+    ones = np.ones(op.dimension)
+    return np.abs(exact_diagonal_apply(op.entries, ones, built.params) - apply_scheme(op, ones, built))
 
 
 def _knee(lam: float, p: Params, which: int) -> float:
@@ -163,15 +171,14 @@ def _sweep_reference(which: int, lam: float, p: Params) -> float:
 def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "standard") -> list[SweepRecord]:
     """Measured-vs-estimated errors over a grid of spectral points.
 
-    Per point: the total error of the assembled approximation against
-    ``exact_diagonal_apply`` of the grid, the two
-    per-integral quadrature errors against adaptive references, and the four
-    modulus estimates with their active regimes.  Each quadrature sum is the
-    grid's ``DiagonalOperator.apply_sum`` over that integral's systems of
-    ``scheme(n, p, mode)``, which the total's approximation also sums; the
-    first ``k1`` of ``mode_counts``' kept counts ``(k1, k2)`` are the first
-    integral's.  ``lambda_grid`` must be a 1-D sequence of finite spectral
-    points.
+    Per point: the total error, ``_entry_errors`` of the grid as a
+    diagonal, the two per-integral quadrature errors against adaptive
+    references, and the four modulus estimates with their active regimes.
+    Each quadrature sum is the grid's ``DiagonalOperator.apply_sum`` over
+    that integral's systems of ``scheme(n, p, mode)``, which the total's
+    approximation also sums; the first ``k1`` of ``mode_counts``' kept
+    counts ``(k1, k2)`` are the first integral's.  ``lambda_grid`` must be
+    a 1-D sequence of finite spectral points.
     """
     # a generator becomes its points; a scalar stays 0-d and is refused below
     grid = _spectral(list(lambda_grid) if np.iterable(lambda_grid) else lambda_grid, "lambda_grid")
@@ -185,10 +192,9 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     built = scheme(n, p, mode)
     (n1, n2), (k1, _) = mode_counts(n, p, mode)
     op, ones = DiagonalOperator(grid), np.ones(len(grid))
-    approx = apply_scheme(op, ones, built)
+    err_total = _entry_errors(op, built)
     sums1 = op.apply_sum(built.systems[:k1], ones)
     sums2 = op.apply_sum(built.systems[k1:], ones)
-    err_total = np.abs(exact_diagonal_apply(grid, ones, p) - approx)
 
     records = []
     for lam, err, int1, int2 in zip(grid, err_total.tolist(), sums1.tolist(), sums2.tolist()):

@@ -222,6 +222,19 @@ def test_apply_reports_empty_matrix_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {mat}: no values found\n"
 
 
+def test_apply_names_a_matrix_file_with_a_non_finite_entry(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    mat.write_text("2.0,0.0\n0.0,1e400\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1.0\n1.0\n")
+    code = main([
+        "apply", "--alpha", "0.5", "--h", "1.0", "--n", "10",
+        "--matrix-file", str(mat), "--vector-file", str(rhs), "--out", str(tmp_path / "y.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {mat}: matrix entries must be finite\n"
+
+
 def test_apply_reports_missing_file(tmp_path, capsys):
     out = tmp_path / "y.txt"
     code = main([
@@ -391,6 +404,55 @@ def test_operator_error_single_mode_leaves_other_cells_empty(tmp_path):
     assert int(row[1]) == 20  # two full rules
     assert row[2] != "" and row[4] == "" and row[6] == ""
     assert row[3] != "" and row[5] != "" and row[7] != ""
+
+
+@pytest.mark.parametrize("mode", [*MODES, "all"])
+def test_operator_error_measures_a_spectrum_with_infinite_entries(tmp_path, mode):
+    # +inf first, in the middle and last: a spectrum error_sweep refuses
+    d = [np.inf, 1.0, 30.0, np.inf, 1e8, 2.5, np.inf]
+    diag, out = tmp_path / "d.txt", tmp_path / "err.csv"
+    diag.write_text("".join(f"{v!r}\n" for v in d))
+    assert main([
+        "operator-error", "--alpha", "0.3", "--h", "1e-3", "--n-list", "5,20",
+        "--mode", mode, "--diag-file", str(diag), "--out", str(out),
+    ]) == 0
+    header, rows = _read_csv(out)
+    p, ones = Params(0.3, 1e-3), np.ones(len(d))
+    exact = oracle.exact_diagonal_apply(d, ones, p)
+    for row in rows:
+        for measured in MODES:
+            cell = row[header.index(f"err_{measured}")]
+            if mode in (measured, "all"):
+                approx = operators.apply_resolvent(operators.DiagonalOperator(d), ones, p, int(row[0]), measured)
+                assert float(cell) == np.abs(exact - approx).max()
+            else:
+                assert cell == ""
+
+
+_HEADERS = {
+    "plan": ["n", "m", "k_n", "j_n", "k_m", "j_m", "predicted_error", "inversions"],
+    "sequences": ["n", "g_I", "g_II", "g_III", "g_IV", "eps1", "eps2", "n_star", "n_star_star"],
+    "operator-error": ["n", "inversions", "err_standard", "est_standard",
+                       "err_balanced", "est_balanced", "err_truncated", "est_truncated"],
+    "scalar-sweep": ["lambda", "err_total", "err_int1", "err_int2",
+                     "q_I", "q_II", "q_III", "q_IV", "regime1", "regime2"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--n", "1,5,50"],
+    ["plan", "--tol", "1e-6"],
+    ["sequences", "--n-max", "6"],
+    ["operator-error", "--n-list", "5,20"],
+    ["operator-error", "--n-list", "5", "--mode", "balanced"],
+    ["scalar-sweep", "--n", "10", "--points", "5", "--mode", "truncated"],
+], ids="-".join)
+def test_each_table_has_its_header_and_rows_as_wide(tmp_path, argv):
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--alpha", "0.5", "--h", "0.01", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == _HEADERS[argv[0]]
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize("mode", MODES)

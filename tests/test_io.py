@@ -127,6 +127,16 @@ def test_read_matrix_single_row_stays_2d(tmp_path):
     assert read_matrix(path).shape == (1, 1)
 
 
+@pytest.mark.parametrize("token", ["1e400", "-inf", "nan"])
+def test_read_matrix_refuses_a_non_finite_entry_and_names_the_file(tmp_path, token):
+    # loadtxt reads each of these, 1e400 as an infinity
+    path = tmp_path / "m.csv"
+    path.write_text(f"2.0,1.0\n1.0,{token}\n")
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: matrix entries must be finite"
+
+
 def test_read_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,x\n")
