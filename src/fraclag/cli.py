@@ -128,13 +128,14 @@ def _cmd_operator_error(args, p: Params) -> int:
     wanted = MODES if args.mode == "all" else (args.mode,)
     header = ["n", "inversions", *(f"{kind}_{mode}" for mode in MODES for kind in ("err", "est"))]
     cost_mode = "truncated" if args.mode == "all" else args.mode
+    built = [{mode: scheme(n, p, mode) for mode in MODES} for n in args.n_list]
+    # one closed form for every measured cell, taken in row order
+    errors = _entry_errors(op, [schemes[mode] for schemes in built for mode in wanted])
     rows = []
-    for n in args.n_list:
-        built = {mode: scheme(n, p, mode) for mode in MODES}
-        row = [n, built[cost_mode].solves]
+    for n, schemes in zip(args.n_list, built):
+        row = [n, schemes[cost_mode].solves]
         for mode in MODES:
-            err = float(_entry_errors(op, built[mode]).max()) if mode in wanted else ""
-            row += [err, built[mode].predicted_error]
+            row += [float(next(errors).max()) if mode in wanted else "", schemes[mode].predicted_error]
         rows.append(row)
     _emit(args.out, header, rows)
     return 0

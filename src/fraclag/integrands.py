@@ -9,6 +9,12 @@ scalar resolvent value ``1 / (1 + h * lam**alpha)`` equals
 where ``I1`` and ``I2`` integrate ``exp(-x) * f1(x, lam)`` and
 ``exp(-x) * f2(x, lam)`` over ``[0, inf)``.  Both integrands are bounded,
 positive and smooth, which is what makes Gauss-Laguerre rules effective.
+
+Each integrand's formula is written once, in ``_factors``: its shift
+``sigma``, ``log tau``, numerator and trigonometric factor at ``x``.
+``node_system`` turns them into a node's shifted system, and
+``_integrand``, behind ``f1``, ``f2`` and the oracle's reference
+integrals, into the integrand's value.
 """
 
 from __future__ import annotations
@@ -127,16 +133,16 @@ def _coordinate(lam: float, p: Params) -> float:
     return p.log_h_root + math.log(lam)
 
 
-def _evaluate(kernel, x, lam, p: Params):
-    """``kernel(x, lam, p)`` for ``_f1`` or ``_f2`` once ``x`` is checked
-    finite and nonnegative and ``lam >= 1``, with every floating-point flag
-    of the kernel's 0-limits ignored; a 0-d result comes back as a float."""
+def _evaluate(which: str, x, lam, p: Params):
+    """``_integrand(x, lam, which, p)`` once ``x`` is checked finite and
+    nonnegative and ``lam >= 1``, with every floating-point flag of the
+    integrand's 0-limits ignored; a 0-d result comes back as a float."""
     x = _real(x, "x")
     if not np.all((x >= 0) & (x < np.inf)):
         raise ValueError("x must be finite and nonnegative")
     lam = _spectral(lam)
     with np.errstate(all="ignore"):
-        out = kernel(x, lam, p)
+        out = _integrand(x, lam, which, p)
     return out if out.ndim else float(out)
 
 
@@ -151,7 +157,7 @@ def f1(x, lam, p: Params):
     is formed in log space, so extreme magnitudes degrade gracefully to the
     0-limit of the integrand instead of producing NaN.
     """
-    return _evaluate(_f1, x, lam, p)
+    return _evaluate("first", x, lam, p)
 
 
 def f2(x, lam, p: Params):
@@ -161,29 +167,38 @@ def f2(x, lam, p: Params):
               * (1 + 2*cos(alpha*pi)*exp(-alpha*x/(alpha+1))
                  + exp(-2*alpha*x/(alpha+1))))``
     """
-    return _evaluate(_f2, x, lam, p)
+    return _evaluate("second", x, lam, p)
 
 
-# The kernels below are the formulas of f1 and f2 and nothing else.  They take
-# float arrays or np.float64 scalars, trust that x is finite and nonnegative
-# and lam >= 1, and leave the flags of the 0-limits, such as exp(-x)
-# underflowing, to the caller's np.errstate, which ignores them all.
+def _factors(x, which: str, p: Params, exp):
+    """The one statement of each integrand: ``(sigma, log tau, numerator,
+    trig)`` at ``x`` such that the integrand is
+    ``numerator / ((sigma + tau * lam) * trig)``.
+
+    ``x`` is trusted to be finite and nonnegative.  ``exp`` is ``math.exp``
+    for a node's Python float and ``np.exp`` for float arrays or np.float64
+    scalars.  ``tau`` stays a log, so a caller can form ``tau * lam`` in log
+    space: a plain product is ``0 * inf = NaN`` at ``lam = +inf`` wherever
+    ``tau`` underflows.
+    """
+    a = p.alpha
+    if which == "first":
+        e = exp(-x)
+        return 1.0, -x / a + p.log_h_root, 1.0, e * e + 2.0 * e * p.cos_pi_alpha + 1.0
+    if which == "second":
+        v = exp(-a * x / (a + 1.0))
+        return exp(-x / (a + 1.0)), p.log_h_root, a / (a + 1.0), 1.0 + 2.0 * p.cos_pi_alpha * v + v * v
+    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
-def _f1(x, lam, p: Params):
-    t = np.exp(-x / p.alpha + p.log_h_root + np.log(lam))
-    e = np.exp(-x)
-    den = (1.0 + t) * (e * e + 2.0 * p.cos_pi_alpha * e + 1.0)
-    return 1.0 / den
-
-
-def _f2(x, lam, p: Params):
-    ap1 = p.alpha + 1.0
-    s = np.exp(p.log_h_root + np.log(lam))
-    u = np.exp(-x / ap1)
-    v = np.exp(-p.alpha * x / ap1)
-    den = (u + s) * (1.0 + 2.0 * p.cos_pi_alpha * v + v * v)
-    return (p.alpha / ap1) / den
+def _integrand(x, lam, which: str, p: Params):
+    """``f1`` ("first") or ``f2`` ("second") of float arrays or np.float64
+    scalars, unchecked: ``x`` finite and nonnegative and ``lam >= 1`` are
+    trusted, and the flags of the 0-limits, such as ``exp(-x)``
+    underflowing, are left to the caller's np.errstate, which ignores them
+    all."""
+    sigma, log_tau, numerator, trig = _factors(x, which, p, np.exp)
+    return numerator / ((sigma + np.exp(log_tau + np.log(lam))) * trig)
 
 
 @dataclass(frozen=True)
@@ -205,29 +220,21 @@ class ShiftedSystem:
 
 
 def node_system(x: float, w: float, which: str, p: Params) -> ShiftedSystem:
-    """Shifted system of the node at ``x`` with weight ``w``: ``w`` times
-    ``_f1`` or ``_f2`` above, factored as ``scale / (sigma + tau * lam)``.
+    """Shifted system of the node at ``x`` with weight ``w``: ``w`` times the
+    integrand ``_factors`` states, ``scale / (sigma + tau * lam)`` with
+    ``scale = w * numerator / trig``.
 
     ``which`` selects the integrand: "first" pairs a unit identity shift
     with a decaying operator coefficient, "second" the other way around.
-    The trigonometric denominator of the integrand is folded into ``scale``.
+    ``x`` must be finite and nonnegative, as for ``f1`` and ``f2``.
     """
-    a = p.alpha
-    if which == "first":
-        e = math.exp(-x)
-        return ShiftedSystem(
-            sigma=1.0,
-            tau=math.exp(-x / a + p.log_h_root),
-            scale=w / (e * e + 2.0 * e * p.cos_pi_alpha + 1.0),
-        )
-    if which == "second":
-        v = math.exp(-a * x / (a + 1.0))
-        return ShiftedSystem(
-            sigma=math.exp(-x / (a + 1.0)),
-            tau=p.h_root,
-            scale=w * (a / (a + 1.0)) / (1.0 + 2.0 * p.cos_pi_alpha * v + v * v),
-        )
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be finite and nonnegative")
+    sigma, log_tau, numerator, trig = _factors(x, which, p, math.exp)
+    # the second integrand's tau is h**(1/alpha) at every node: its systems
+    # share the one float p.h_root, the same value, instead of one float each
+    tau = p.h_root if log_tau == p.log_h_root else math.exp(log_tau)
+    return ShiftedSystem(sigma, tau, w * numerator / trig)
 
 
 def bounds(p: Params) -> tuple[float, float]:

@@ -4,6 +4,12 @@ Nothing here goes through the Laguerre rules except as the object under
 study: exact diagonal resolvents come from direct spectral evaluation, and
 integral references come from adaptive quadrature on finite windows sized so
 the discarded tail is provably negligible.
+
+The references integrate the formula the quadrature nodes sample, the one
+statement of each integrand in ``integrands._factors``, so ``err_int1`` and
+``err_int2`` measure each rule's quadrature error alone.  That formula is
+checked against the closed form on its own: by ``representation_check``
+(acceptance criterion 2) and, through every scheme, by ``err_total``.
 """
 
 from __future__ import annotations
@@ -11,13 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .estimates import q_estimates
-from .integrands import Params, _coordinate, _f1, _f2, _log_bounds, _real, _scalar, _spectral, _spectral_scalar
+from .integrands import Params, _coordinate, _integrand, _log_bounds, _real, _scalar, _spectral, _spectral_scalar
 from .operators import DiagonalOperator, apply_scheme
 from .planner import Scheme, mode_counts, scheme
 
@@ -88,12 +94,16 @@ def exact_scalar_resolvent(lam, p: Params):
     return out if lam.ndim else float(out)
 
 
-def _entry_errors(op: DiagonalOperator, built: Scheme) -> np.ndarray:
+def _entry_errors(op: DiagonalOperator, schemes: Iterable[Scheme]) -> Iterator[np.ndarray]:
     """``|exact_diagonal_apply - apply_scheme|`` per entry of ``op`` for a
-    ``b`` of ones: the one measurement of a scheme's error on a diagonal,
-    0 at a +inf entry."""
-    ones = np.ones(op.dimension)
-    return np.abs(exact_diagonal_apply(op.entries, ones, built.params) - apply_scheme(op, ones, built))
+    ``b`` of ones, for each of ``schemes`` in turn: the one measurement of a
+    scheme's error on a diagonal, 0 at a +inf entry.  The closed form is
+    evaluated once per distinct ``params``."""
+    ones, exact = np.ones(op.dimension), {}
+    for built in schemes:
+        if built.params not in exact:
+            exact[built.params] = exact_diagonal_apply(op.entries, ones, built.params)
+        yield np.abs(exact[built.params] - apply_scheme(op, ones, built))
 
 
 def _knee(lam: float, p: Params, which: int) -> float:
@@ -109,14 +119,18 @@ def _reference_integral(
 ) -> tuple[float, float]:
     """Adaptive quadrature of exp(-x) * f_which over [0, upper].
 
-    quad evaluates only finite x in [0, upper] and ``lam``, which the caller
-    has checked, is fixed, so the integrand calls the unchecked kernel of
-    f_which; the values are those of f_which bit for bit.
+    The integrand is ``integrands._integrand``, built from the factors that
+    every node system of that integrand holds, so the reference integrates
+    what the rule samples; the closed form checks that formula through
+    ``representation_check`` and ``err_total``.  quad evaluates only finite
+    x in [0, upper] and ``lam``, which the caller has checked, is fixed, so
+    the unchecked ``_integrand`` is called; the values are those of f_which
+    bit for bit.
     """
-    kernel = _f1 if which == 1 else _f2
+    kind = "first" if which == 1 else "second"
 
     def integrand(x: float) -> float:
-        return math.exp(-x) * kernel(np.float64(x), lam, p)
+        return math.exp(-x) * _integrand(np.float64(x), lam, kind, p)
 
     knee = _knee(lam, p, which)
     points = [knee] if 0.0 < knee < upper else None
@@ -192,7 +206,7 @@ def error_sweep(p: Params, n: int, lambda_grid: Sequence[float], mode: str = "st
     built = scheme(n, p, mode)
     (n1, n2), (k1, _) = mode_counts(n, p, mode)
     op, ones = DiagonalOperator(grid), np.ones(len(grid))
-    err_total = _entry_errors(op, built)
+    err_total = next(_entry_errors(op, [built]))
     sums1 = op.apply_sum(built.systems[:k1], ones)
     sums2 = op.apply_sum(built.systems[k1:], ones)
 

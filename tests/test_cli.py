@@ -429,6 +429,23 @@ def test_operator_error_measures_a_spectrum_with_infinite_entries(tmp_path, mode
                 assert cell == ""
 
 
+def test_operator_error_evaluates_the_closed_form_once(tmp_path, monkeypatch):
+    # every measured cell of a command reads one closed-form vector
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    exact = oracle.exact_diagonal_apply
+    monkeypatch.setattr(oracle, "exact_diagonal_apply", counted)
+    assert main([
+        "operator-error", "--alpha", "0.5", "--h", "0.01", "--n-list", "5,20",
+        "--mode", "all", "--out", str(tmp_path / "err.csv"),
+    ]) == 0
+    assert len(calls) == 1
+
+
 _HEADERS = {
     "plan": ["n", "m", "k_n", "j_n", "k_m", "j_m", "predicted_error", "inversions"],
     "sequences": ["n", "g_I", "g_II", "g_III", "g_IV", "eps1", "eps2", "n_star", "n_star_star"],

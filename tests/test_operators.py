@@ -103,6 +103,32 @@ def test_node_system_rejects_unknown_kind():
         node_system(1.0, 1.0, "third", Params(0.5, 1.0))
 
 
+# (sigma, tau, scale) of node_system(1.3, 0.2, which, Params(alpha, h)) at an
+# interior node, where no factor collapses: mpmath at 50 digits from the
+# doubles of the inputs, rounded to 20 digits
+NODE_SYSTEM_X13_W02 = {
+    (0.3, 1e-3, "first"): (1.0, 1.3123728736940948837e-12, 0.14340475278727646235),
+    (0.3, 1e-3, "second"): (0.36787944117144230589, 9.9999999999999921726e-11, 0.019074235834188403327),
+    (0.75, 10.0, "first"): (1.0, 3.8067664347396896597, 0.29033668618711695548),
+    (0.75, 10.0, "second"): (0.47575267845565059465, 21.544346900318837218, 0.16546308156313559428),
+}
+
+
+@pytest.mark.parametrize("alpha, h, which", list(NODE_SYSTEM_X13_W02))
+def test_node_system_frozen_reference(alpha, h, which):
+    got = node_system(1.3, 0.2, which, Params(alpha, h))
+    want = NODE_SYSTEM_X13_W02[alpha, h, which]
+    assert (got.sigma, got.tau, got.scale) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("x", [-1000.0, -1.0, -math.inf, math.inf, math.nan])
+def test_node_system_refuses_a_node_off_the_half_line(x, which):
+    # f1 and f2 refuse these x in the same words; a raw exp would overflow
+    with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+        node_system(x, 1.0, which, Params(0.5, 1.0))
+
+
 def test_mode_counts():
     p = Params(0.75, 1.0)
     plan = make_plan(25, p)
