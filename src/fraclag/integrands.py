@@ -180,15 +180,30 @@ def _factors(x, which: str, p: Params, exp):
     scalars.  ``tau`` stays a log, so a caller can form ``tau * lam`` in log
     space: a plain product is ``0 * inf = NaN`` at ``lam = +inf`` wherever
     ``tau`` underflows.
+
+    ``trig`` is at least sin(alpha*pi)**2 > 0 in exact arithmetic, but for
+    1 - alpha below about 3.4e-9 cos(alpha*pi) rounds to -1 and ``trig``
+    cancels to 0 near x = 0, where the integrand would be inf; wherever
+    ``trig`` is not > 0 this raises ValueError naming alpha and x.
     """
     a = p.alpha
     if which == "first":
         e = exp(-x)
-        return 1.0, -x / a + p.log_h_root, 1.0, e * e + 2.0 * e * p.cos_pi_alpha + 1.0
-    if which == "second":
+        factors = 1.0, -x / a + p.log_h_root, 1.0, e * e + 2.0 * e * p.cos_pi_alpha + 1.0
+    elif which == "second":
         v = exp(-a * x / (a + 1.0))
-        return exp(-x / (a + 1.0)), p.log_h_root, a / (a + 1.0), 1.0 + 2.0 * p.cos_pi_alpha * v + v * v
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+        factors = exp(-x / (a + 1.0)), p.log_h_root, a / (a + 1.0), 1.0 + 2.0 * p.cos_pi_alpha * v + v * v
+    else:
+        raise ValueError(f"which must be 'first' or 'second', got {which!r}")
+    positive = factors[3] > 0.0
+    # an array's truth needs .all(); a float's or an np.float64's is its own
+    if positive.all() if isinstance(positive, np.ndarray) else positive:
+        return factors
+    at = float(np.asarray(x)[np.logical_not(positive)].flat[0])
+    raise ValueError(
+        f"f{1 if which == 'first' else 2}'s trigonometric factor is not > 0 at alpha={p.alpha!r}, x={at!r}: "
+        "this close to 1, cos(alpha*pi) rounds to -1 and the factor cancels"
+    )
 
 
 def _integrand(x, lam, which: str, p: Params):

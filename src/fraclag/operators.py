@@ -9,15 +9,24 @@ b, and ``DiagonalOperator`` forms it so; ``DenseOperator`` runs that kernel
 in its eigenbasis, and its per-solve call is that fused sum of one system.
 Each rule lives in the docstring of the function that applies it: the
 per-solve memory bound in ``OperatorHandle.apply_sum``, the thread split and
-the +inf pin in ``DiagonalOperator.apply_sum``, the skip and constant proofs
-in ``DiagonalOperator._kept_nodes``, the one-thread BLAS section in
+the +inf pin in ``DiagonalOperator.apply_sum``, the choice of each term's
+form in ``DiagonalOperator._form``, the skip and constant proofs in
+``DiagonalOperator._kept_nodes``, the one-thread BLAS section in
 ``DenseOperator`` and the overflow retry in ``apply_scheme``.
 
 Agreement.  Per-solve backends over the same solves give one another's
-bits.  The diagonal kernel rounds each coefficient once before its product
-with b, where a per-solve term is rounded twice, so for J systems with
-fields >= 0 and no term that underflows its normal finite results are
-within (2J + 6) * 2**-53 relative of a per-solve sum's.
+bits.  The diagonal kernel parts from a per-solve sum by rounding alone,
+counted here to first order in u = 2**-53 for J systems with fields >= 0
+and no term that underflows.  Let theta = tau*d / (sigma + tau*d) and
+phi = 1 - theta.  A per-solve term rounds tau*d, sigma + tau*d, the
+quotient and the product with scale: theta*u + u + 2u.  The kernel's term,
+rescaled by ``DiagonalOperator._form``, rounds sigma/tau, sigma/tau + d,
+scale/tau and the quotient: phi*u + u + 2u.  The two denominators round
+apart, so their shares do not cancel: they total 3u, and each term parts
+by at most 7u.  Each sum of J terms of one sign adds (J - 1)u, and the
+kernel's product with b u more, so its normal finite results are within
+(2J + 6) * 2**-53 relative of a per-solve sum's.  A system the kernel adds
+unscaled shares the per-solve denominator and parts by less.
 
 Floating point.  Every numpy pass here on the package's own data runs under
 ``np.errstate(all="ignore")``, and ``apply_scheme`` alone judges a result
@@ -65,6 +74,9 @@ _BLOCK = 1 << 16
 # A term below 2**-55 times every coefficient sum it meets is under a
 # quarter ulp of each, so adding it rounds back to the sum.
 _NEGLIGIBLE = 2.0**55
+
+# a system's (sigma, tau, scale) as DiagonalOperator._form gives it
+_Form = tuple[float, float, float]
 
 # held while a one-thread BLAS section has changed the process-wide count
 _BLAS_LOCK = threading.Lock()
@@ -142,6 +154,10 @@ class DiagonalOperator(OperatorHandle):
             finite = d[lo : lo + self._block]
             finite = finite[np.isfinite(finite)]
             self._spans.append((float(finite.min()), float(finite.max())) if finite.size else (math.inf, math.inf))
+        # the least and greatest finite entry of all, which decide each
+        # system's form in _form
+        finite = [span for span in self._spans if span[0] < math.inf]
+        self._span = (min(lo for lo, _ in finite), max(hi for _, hi in finite)) if finite else (math.inf, math.inf)
 
     @property
     def dimension(self) -> int:
@@ -172,11 +188,12 @@ class DiagonalOperator(OperatorHandle):
         return out
 
     def apply_sum(self, systems: Sequence[ShiftedSystem], b: np.ndarray) -> np.ndarray:
-        """r(d) * b, bit for bit the plain coefficient sum: c_i += scale_j /
-        (sigma_j + tau_j*d_i) for each system in node order, then c_i * b_i,
-        and +0.0 at every +inf entry.  It allocates the result and one
-        scratch block per worker, none per system; ``_kept_nodes`` proves
-        that the terms it leaves out or adds as one constant keep every bit.
+        """r(d) * b, bit for bit the plain coefficient sum: c_i += scale /
+        (sigma + tau*d_i) over the fields of each system's ``_form``, in
+        node order, then c_i * b_i, and +0.0 at every +inf entry.  It
+        allocates the result and one scratch block per worker, none per
+        system; ``_kept_nodes`` proves that the terms it leaves out or adds
+        as one constant keep every bit.
 
         Thread split.  The entries are cut into the fewest blocks of at most
         2**16, all of one size but a last one that may be shorter, and the
@@ -194,51 +211,88 @@ class DiagonalOperator(OperatorHandle):
         to +0.0 afterwards.
         """
         b = _as_vector(b, self.dimension)
+        with np.errstate(all="ignore"):  # fields may be numpy scalars
+            forms = [self._form(s) for s in systems]
         acc = np.zeros_like(b)
         starts = range(0, b.size, self._block)
         workers = min(_usable_cores(), len(starts))
         # leaving the block waits for every part, since each writes into acc
         with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-            futures = [pool.submit(self._sum_blocks, systems, b, acc, starts[t::workers]) for t in range(1, workers)]
-            self._sum_blocks(systems, b, acc, starts[::workers])
+            futures = [pool.submit(self._sum_blocks, forms, b, acc, starts[t::workers]) for t in range(1, workers)]
+            self._sum_blocks(forms, b, acc, starts[::workers])
         for future in futures:
             future.result()
         acc[self._infinite] = 0.0
         return acc
 
-    def _sum_blocks(self, systems: Sequence[ShiftedSystem], b: np.ndarray, acc: np.ndarray, starts: range) -> None:
+    def _form(self, s: ShiftedSystem) -> _Form:
+        """The fields ``(sigma, tau, scale)`` whose term scale / (sigma +
+        tau*d) ``apply_sum`` adds for the system ``s``: the rescaled
+        ``(sigma/tau, 1.0, scale/tau)`` where that is safe, else the
+        system's own.  The term is the same but for rounding, and 1*d is d,
+        so a rescaled term takes three vector passes where the system's own
+        takes four.
+
+        Safe.  0 < tau < inf, tau*d is a normal finite double (tau*d >=
+        2**-1022), and both quotients and both forms' denominators are
+        finite, each over the operator's least and greatest finite entry.
+        Then either form's term is the other's up to rounding, as the
+        module's Agreement counts it.  Elsewhere they part by more: where
+        tau*d overflows, a per-solve term is 0 and the rescaled one is not.
+        The choice reads the whole span, not a block's, so the bits do not
+        depend on the block size or the core count.
+        """
+        inf = math.inf
+        sigma, tau, scale = s.sigma, s.tau, s.scale
+        d_min, d_max = self._span
+        # sigma + tau*d_max < inf also bounds tau*d_max, and sigma + tau*d
+        # by monotonicity
+        if 0.0 < tau < inf and tau * d_min >= 2.0**-1022 and sigma + tau * d_max < inf:
+            shift, numerator = sigma / tau, scale / tau
+            if -inf < shift and shift + d_max < inf and abs(numerator) < inf:
+                return shift, 1.0, numerator
+        return sigma, tau, scale
+
+    def _sum_blocks(self, forms: Sequence[_Form], b: np.ndarray, acc: np.ndarray, starts: range) -> None:
         """Write r(d)*b into acc over every block starting at ``starts``,
         with the terms of r that ``_kept_nodes`` keeps, each a constant it
-        gives or four vector passes."""
+        gives or vector passes: three for a form whose tau is 1, since 1*d
+        is d, and four for any other."""
         scratch = np.empty(self._block)
         with np.errstate(all="ignore"):
             for lo in starts:
                 hi = lo + self._block
                 d, out = self._d[lo:hi], acc[lo:hi]
                 term = scratch[: d.size]
-                for s, constant in self._kept_nodes(systems, self._spans[lo // self._block]):
-                    if constant is None:
-                        np.multiply(s.tau, d, out=term)
-                        np.add(s.sigma, term, out=term)
-                        np.divide(s.scale, term, out=term)
-                        np.add(out, term, out=out)
-                    else:
+                for (sigma, tau, scale), constant in self._kept_nodes(forms, self._spans[lo // self._block]):
+                    if constant is not None:
                         np.add(out, constant, out=out)
+                        continue
+                    if tau == 1.0:
+                        np.add(sigma, d, out=term)
+                    else:
+                        np.multiply(tau, d, out=term)
+                        np.add(sigma, term, out=term)
+                    np.divide(scale, term, out=term)
+                    np.add(out, term, out=out)
                 np.multiply(out, b[lo:hi], out=out)
 
     @staticmethod
-    def _kept_nodes(systems: Sequence[ShiftedSystem], span: tuple[float, float]) -> list[tuple[ShiftedSystem, float | None]]:
+    def _kept_nodes(forms: Sequence[_Form], span: tuple[float, float]) -> list[tuple[_Form, float | None]]:
         """For a block of ``apply_sum`` with least and greatest finite entry
-        ``span``, (inf, inf) when every entry is +inf, each system whose term
-        of r may change a bit of the block's coefficient sum, in node order,
-        with that term when it is one constant over the block, else None.
+        ``span``, (inf, inf) when every entry is +inf, each form
+        ``(sigma, tau, scale)`` of ``_form`` whose term of r may change a bit
+        of the block's coefficient sum, in node order, with that term when
+        it is one constant over the block, else None.
 
         Both come from the end denominators ``sigma + tau*dmin`` and
-        ``sigma + tau*dmax``, rounded as the vector passes round them.
-        Rounding is monotone, so for either sign of tau the computed
-        ``sigma + tau*d_i`` is monotone over the block's finite entries.
+        ``sigma + tau*dmax``, rounded as the vector passes round them; where
+        tau is 1 they are ``fl(sigma + dmin)`` and ``fl(sigma + dmax)``, as
+        1*d is d.  Rounding is monotone, so for either sign of tau the
+        computed ``sigma + tau*d_i``, and ``fl(sigma + d_i)`` with it, is
+        monotone over the block's finite entries.
 
-        Skip.  While the fields of the systems so far are finite and >= 0,
+        Skip.  While the fields of the forms so far are finite and >= 0,
         each term ``scale / (sigma + tau*d_i)`` is >= 0, so the sum c_i never
         shrinks and is at least every term added so far; over the block
         ``scale / (sigma + tau*dmin)`` bounds each computed term from above
@@ -247,26 +301,26 @@ class DiagonalOperator(OperatorHandle):
         a quarter ulp of every c_i and adds nothing under round-to-nearest.
         On a block of +inf entries alone sigma + tau*dmin is +inf or NaN, so
         each lower bound is 0 or NaN, the floor stays 0 and no node is
-        skipped.  From the first system with a negative or non-finite field
+        skipped.  From the first form with a negative or non-finite field
         on, no node is skipped.
 
         Constant.  When both end denominators round to one double ``den``,
-        by monotonicity every entry's does, and the four passes give every
-        entry ``scale / den``, bit for bit.  NaN never compares equal, so it
-        takes the passes.  So does a zero, whose quotient Python refuses;
-        only zeros compare equal with another bit pattern, and -0 cannot
-        arise anyway: it needs sigma == tau == 0, which ``ShiftedSystem``
-        refuses, or a nonzero |tau*d_i| below the least subnormal, which
-        d_i >= 1 rules out.  +inf entries lie outside the span; ``apply_sum``
-        pins them.
+        by monotonicity every entry's does, and the passes give every entry
+        ``scale / den``, bit for bit.  NaN never compares equal, so it takes
+        the passes.  So does a zero, whose quotient Python refuses; only
+        zeros compare equal with another bit pattern, and -0 cannot arise
+        anyway: it needs sigma == tau == 0, which ``ShiftedSystem`` refuses
+        and a rescaled tau of 1 rules out, or a nonzero |tau*d_i| below the
+        least subnormal, which d_i >= 1 rules out.  +inf entries lie outside
+        the span; ``apply_sum`` pins them.
         """
         inf = math.inf
         d_min, d_max = span
         floor = 0.0  # the least c_i proven so far
         bounded = True  # every field so far is finite and >= 0
         kept = []
-        for s in systems:
-            sigma, tau, scale = s.sigma, s.tau, s.scale
+        for form in forms:
+            sigma, tau, scale = form
             low, high = sigma + tau * d_min, sigma + tau * d_max
             bounded = bounded and 0.0 <= sigma < inf and 0.0 <= tau < inf and 0.0 <= scale < inf
             if bounded and low > 0.0:
@@ -275,7 +329,7 @@ class DiagonalOperator(OperatorHandle):
                 term = scale / high
                 if term > floor:
                     floor = term
-            kept.append((s, scale / low if low == high != 0.0 else None))
+            kept.append((form, scale / low if low == high != 0.0 else None))
         return kept
 
 

@@ -1,17 +1,18 @@
 """Tests for the parameters, the two integrand factors and the input checks."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fraclag.estimates import gamma_pm, poles, q_estimates
-from fraclag.integrands import Params, ShiftedSystem, bounds, f1, f2
+from fraclag.integrands import Params, ShiftedSystem, bounds, f1, f2, node_system
 from fraclag.laguerre import gauss_laguerre, truncation_index
 from fraclag.operators import DenseOperator, DiagonalOperator, apply_resolvent, scalar_approx
 from fraclag.oracle import error_sweep, exact_diagonal_apply, exact_scalar_resolvent, representation_check
-from fraclag.planner import asymptotic_estimates, plan_for_tolerance
+from fraclag.planner import asymptotic_estimates, plan_for_tolerance, scheme
 
 # High-precision references (mpmath, 50 digits, rounded to double).
 F1_X1_LAM10_A03_H001 = 0.63783498435673219364
@@ -173,6 +174,27 @@ def test_integrand_domain_errors(func):
         func(float("-inf"), 1.0, p)
     with pytest.raises(ValueError):
         func(1.0, float("nan"), p)
+
+
+@pytest.mark.parametrize("which, func", [("first", f1), ("second", f2)])
+def test_a_trigonometric_factor_that_cancels_is_refused(which, func):
+    # for 1 - alpha below about 3.4e-9 cos(alpha*pi) rounds to -1, and the
+    # factor cancels to 0 where exp(-x) rounds to 1: node_system divided by
+    # it and f1, f2 returned inf
+    p = Params(1.0 - 1e-9, 1.0)
+    assert p.cos_pi_alpha == -1.0
+    message = rf"{func.__name__}'s trigonometric factor is not > 0 at alpha=0\.999999999, x="
+    with pytest.raises(ValueError, match=message + r"0\.0:"):
+        node_system(0.0, 1.0, which, p)
+    for x in (0.0, 1e-17):
+        with pytest.raises(ValueError, match=message + re.escape(repr(x))):
+            func(x, 2.0, p)
+    # an array names its first x where the factor cancels
+    with pytest.raises(ValueError, match=message + r"1e-17:"):
+        func(np.array([3.0, 1e-17, 0.0]), 2.0, p)
+    # away from x = 0 it is positive, at every node of a 200-point rule too
+    assert np.all(np.isfinite(func(np.array([1e-3, 1.0, 5.0]), 2.0, p)))
+    assert all(math.isfinite(s.scale) for s in scheme(200, p, "standard").systems)
 
 
 _P = Params(0.5, 0.01)

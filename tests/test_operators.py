@@ -34,28 +34,54 @@ from fraclag.planner import MODES, Scheme, balanced_estimate, make_plan, mode_co
 
 
 def _coefficient_sum(d, systems, b):
-    """r(d)*b as plainly as it can be written: the coefficients
-    scale / (sigma + tau*d) added in node order, one product with ``b``, and
-    every +inf entry pinned to +0.0.  It does not depend on blocks, skips,
-    constant nodes or threads, and ``DiagonalOperator.apply_sum`` gives its
-    bits."""
+    """r(d)*b as plainly as it can be written: each system's coefficient
+    added in node order, one product with ``b``, and every +inf entry
+    pinned to +0.0.  A system that ``_rescales`` adds
+    (scale/tau) / (sigma/tau + d), any other scale / (sigma + tau*d).  It
+    does not depend on blocks, skips, constant nodes or threads, and
+    ``DiagonalOperator.apply_sum`` gives its bits."""
     d = np.asarray(d, dtype=float)
     c = np.zeros(d.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in systems:
-            c += s.scale / (s.sigma + s.tau * d)
+            if _rescales(s, d):
+                c += (s.scale / s.tau) / (s.sigma / s.tau + d)
+            else:
+                c += s.scale / (s.sigma + s.tau * d)
         y = c * b
     y[np.isinf(d)] = 0.0
     return y
+
+
+def _rescales(s, d):
+    """Whether the diagonal kernel over the entries ``d`` adds the system
+    ``s`` rescaled by its tau: where 0 < tau < inf and, at every finite
+    entry, tau*d is a normal finite double and sigma + tau*d, sigma/tau,
+    scale/tau and sigma/tau + d are finite."""
+    finite = d[np.isfinite(d)]
+    if finite.size == 0 or not 0.0 < s.tau < math.inf:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift, numerator = s.sigma / s.tau, s.scale / s.tau
+        return bool(
+            np.all(s.tau * finite >= np.finfo(float).tiny)
+            and np.all(np.isfinite([shift, numerator]))
+            and np.all(np.isfinite(s.sigma + s.tau * finite))
+            and np.all(np.isfinite(shift + finite))
+        )
 
 
 def _assert_within_rounding(got, want, systems, b):
     """Wherever ``want`` is a normal finite double, |got - want| is at most
     (2J + 6) * 2**-53 * |want|, for J systems with fields >= 0: the rounding
     that separates a coefficient sum times ``b`` from a per-solve sum of J
-    terms of one sign, with room for a prefactor's product.  A term that
-    underflows loses up to half a subnormal ulp, 2**-1075, in each, so
-    J * (max scale + |b|) * 2**-1074 is added to the bound."""
+    terms of one sign, to first order.  That takes the whole bound: the two
+    sums' denominators round apart, a rescaled one by sigma/tau and a
+    per-solve one by tau*d, so no room is left for a prefactor's product,
+    and a caller that compares ``apply_resolvent`` results relies on its
+    fixed inputs.  A term that underflows loses up to half a subnormal ulp,
+    2**-1075, in each, so J * (max scale + |b|) * 2**-1074 is added to the
+    bound."""
     b = np.asarray(b, dtype=float)
     normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
     solves = len(systems)
@@ -1009,11 +1035,18 @@ def _constant_negative_tau():
 
 def _constant_one_ulp():
     # 1 + 2**-53 * d is 1 at d = 1, the tie, and 1 + 2**-52 above 4/3, so only
-    # the first block's end denominators differ, by one ulp
+    # the first block's end denominators differ, by one ulp; the kernel adds
+    # the first system rescaled, and 2**53 + d ties the same way: 2**53 at
+    # d = 1 and 2**53 + 2 above it
     d = np.linspace(1.0, 2.0, _THREE)
-    low, high = (1.0 + 2.0**-53 * end for end in DiagonalOperator(d)._spans[0])
+    op = DiagonalOperator(d)
+    low, high = (1.0 + 2.0**-53 * end for end in op._spans[0])
     assert np.nextafter(low, 2.0) == high
     systems = [ShiftedSystem(1.0, 2.0**-53, 1.0), ShiftedSystem(1.0, 2.0**-60, 3.0)]
+    assert _forms(op, systems) == [(2.0**53, 1.0, 2.0**53), (2.0**60, 1.0, 3.0 * 2.0**60)]
+    low, high = (2.0**53 + end for end in op._spans[0])
+    assert low == 2.0**53 and np.nextafter(low, np.inf) == high
+    assert all(2.0**53 + lo == 2.0**53 + hi for lo, hi in op._spans[1:])
     return d, systems, [[False, True], [True, True], [True, True]]
 
 
@@ -1040,15 +1073,18 @@ def _constant_tie(which):
     # every block's greatest finite entry is 2**1000, and tau*2**1000 is
     # 2**-53 at the tie, where 1 + 2**-53 rounds to even, to 1: nodes 2-3
     # are constant at the tie and at tau == 0, and one ulp of tau above the
-    # tie they run the passes
+    # tie they run the passes.  tau*d is subnormal at d = 1, so the kernel
+    # adds them as they are, not rescaled
     tie = 2.0**-53 / 2.0**1000
     tau = {"tie": tie, "above": np.nextafter(tie, 1.0), "zero": 0.0}[which]
     rng = np.random.default_rng(9)
     d = 2.0 ** rng.uniform(0.0, 1000.0, _THREE)
     d[::1000] = 2.0**1000
     d[5::7919] = np.inf
-    assert all(span[1] == 2.0**1000 for span in DiagonalOperator(d)._spans)
+    op = DiagonalOperator(d)
+    assert all(span[1] == 2.0**1000 for span in op._spans)
     systems = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, tau, 0.5), ShiftedSystem(1.0, tau, 3.0)]
+    assert _forms(op, systems) == [(s.sigma, s.tau, s.scale) for s in systems]
     constant = which != "above"
     return d, systems, [[False, constant, constant]] * 3
 
@@ -1073,7 +1109,8 @@ def test_diagonal_constant_nodes_match_the_coefficient_sum(monkeypatch, case, co
     d, systems, constant = _CONSTANT_CASES[case]()
     op = DiagonalOperator(d)
     assert len(op._spans) == 3
-    kept = [op._kept_nodes(systems, span) for span in op._spans]
+    forms = _forms(op, systems)
+    kept = [op._kept_nodes(forms, span) for span in op._spans]
     if constant is None:
         assert all(kept) and all(c is not None for block in kept for _, c in block)
     else:
@@ -1089,13 +1126,127 @@ def test_diagonal_constant_nodes_match_the_coefficient_sum(monkeypatch, case, co
     assert np.all(got[np.isinf(d)] == 0.0)
 
 
+def _unsafe_overflow():
+    # tau*d overflows over the upper entries, where a per-solve term is 0
+    # and a rescaled one a subnormal: times a b near 1e300, they part by far
+    # more than rounding
+    d = np.logspace(0, 300, _THREE)
+    d[[5, _THREE // 2]] = np.inf
+    systems = scheme(1, Params(0.5, 5.145317001177723e140), "standard").systems
+    s = systems[-1]
+    with np.errstate(over="ignore"):
+        over = s.tau * d == np.inf
+        assert np.all(s.scale / (s.sigma + s.tau * d[over]) == 0.0)
+    assert np.any((s.scale / s.tau) / (s.sigma / s.tau + d[over & np.isfinite(d)]) > 0.0)
+    return d, systems
+
+
+def _unsafe_subnormal():
+    # tau*d below 2**-1022 at d = 1, though normal at the greatest entries:
+    # one ulp of tau below the least normal and two subnormal taus
+    d = np.logspace(0, 16, _THREE)
+    d[7] = np.inf
+    tiny = np.finfo(float).tiny
+    assert DiagonalOperator(d)._form(ShiftedSystem(1.0, tiny, 1.0))[1] == 1.0  # the least normal rescales
+    systems = [ShiftedSystem(1.0, np.nextafter(tiny, 0.0), 1.0), ShiftedSystem(0.5, 1e-310, 2.0), ShiftedSystem(1e-300, 2.0**-1030, 3.0)]
+    return d, systems
+
+
+def _unsafe_tau():
+    # tau == 0 and tau < 0, with every denominator positive
+    d = np.linspace(1.0, 4000.0, _THREE)
+    systems = [ShiftedSystem(1.0, 0.0, 1.0), ShiftedSystem(1e20, -1.0, 1.0), ShiftedSystem(8000.5, -1.0, 2.0)]
+    return d, systems
+
+
+def _unsafe_denominator():
+    # tau*d is normal, but sigma + tau*d overflows over the upper entries in
+    # the first system, and sigma/tau + d in the second: there the form
+    # whose denominator overflows has a term of 0 and the other does not.
+    # The second's fields are numpy scalars, whose overflow must not warn
+    d = np.logspace(0, 300, _THREE)
+    d[9] = np.inf
+    big = np.finfo(float).max
+    systems = [ShiftedSystem(1.7e308, 1e7, 1e300), ShiftedSystem(big * 2.0**-10, 2.0**-10, 1.0)]
+    with np.errstate(over="ignore"):
+        assert 1.7e308 + 1e7 * d[-1] == np.inf and big + d[-1] == np.inf
+    return d, systems
+
+
+_UNSAFE_CASES = {
+    "overflow": _unsafe_overflow,
+    "subnormal": _unsafe_subnormal,
+    "tau": _unsafe_tau,
+    "denominator": _unsafe_denominator,
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_UNSAFE_CASES))
+def test_diagonal_keeps_four_passes_where_rescaling_is_unsafe(monkeypatch, case, cores):
+    # these systems are added as they are, in the bits of the plain
+    # scale / (sigma + tau*d), of _coefficient_sum and of apply_sum alike
+    d, systems = _UNSAFE_CASES[case]()
+    op = DiagonalOperator(d)
+    assert _forms(op, systems) == [(s.sigma, s.tau, s.scale) for s in systems]
+    assert not any(_rescales(s, d) for s in systems)
+    b = np.random.default_rng(3).standard_normal(d.size)
+    c = np.zeros(d.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in systems:
+            c += s.scale / (s.sigma + s.tau * d)
+        want = c * b
+    want[np.isinf(d)] = 0.0
+    assert np.array_equal(_coefficient_sum(d, systems, b).view(np.int64), want.view(np.int64))
+    _set_cores(monkeypatch, cores)
+    got = op.apply_sum(systems, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_diagonal_nodes_at_the_paper_point_take_three_passes(monkeypatch, mode, cores):
+    # on diag-1m's spectrum every system is rescaled, so every kept node
+    # that is no constant runs sigma/tau + d, scale/tau over it and the sum
+    d = np.logspace(0.0, 16.0, 10**6)
+    op = DiagonalOperator(d)
+    systems = scheme(50, Params(0.5, 0.01), mode).systems
+    assert _forms(op, systems) == [(s.sigma / s.tau, 1.0, s.scale / s.tau) for s in systems]
+    kept_nodes, passes = DiagonalOperator._kept_nodes, []
+
+    def recorded(forms, span):
+        kept = kept_nodes(forms, span)
+        passes.extend(form for form, constant in kept if constant is None)
+        return kept
+
+    monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(recorded))
+    # and no node forms tau*d: the kernel's one vector product per block
+    # is the one with b
+    products = []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, *args, **kwargs):
+            products.append(kwargs["out"].size)
+            return np.multiply(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "np", Counted())
+    _set_cores(monkeypatch, cores)
+    op.apply_sum(systems, np.ones(d.size))
+    assert passes and all(tau == 1.0 for _, tau, _ in passes)
+    assert sorted(products) == [op._block] * len(op._spans)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_diagonal_nodes_at_tiny_h_are_all_constant(mode):
     # at h = 1e-100 every tau*d over 16 decades is under half an ulp of its
     # sigma, so every kept node of either rule adds one constant
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 1e-100), mode).systems
-    constants = [c for span in op._spans for _, c in op._kept_nodes(systems, span)]
+    forms = _forms(op, systems)
+    constants = [c for span in op._spans for _, c in op._kept_nodes(forms, span)]
     assert constants and all(c is not None for c in constants)
 
 
@@ -1299,7 +1450,8 @@ def test_diagonal_skips_most_tail_terms_at_the_paper_point():
     # quarter ulp of the running coefficient sum in most blocks
     op = DiagonalOperator(np.logspace(0, 16, 4 * _BLOCK))
     systems = scheme(50, Params(0.5, 0.01), "standard").systems
-    kept = np.array([_kept_mask(systems, op._kept_nodes(systems, span)) for span in op._spans])
+    forms = _forms(op, systems)
+    kept = np.array([_kept_mask(forms, op._kept_nodes(forms, span)) for span in op._spans])
     assert kept.shape == (4, len(systems))
     assert kept[:, 0].all()  # nothing is known before the first term
     assert 1.0 - kept.mean() >= 0.4
@@ -1313,19 +1465,27 @@ def test_diagonal_skip_needs_nonnegative_systems():
     op = DiagonalOperator(d)
     assert op._spans[1] == (math.inf, math.inf)
     big, tiny = ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1.0, 1.0, 1e-40)
-    assert _kept_mask([big, tiny], op._kept_nodes([big, tiny], op._spans[0])) == [True, False]
+    forms = _forms(op, [big, tiny])
+    assert _kept_mask(forms, op._kept_nodes(forms, op._spans[0])) == [True, False]
     # a term of the other sign may shrink the sum: every node after it runs
     for odd in (ShiftedSystem(1.0, 1.0, -1.0), ShiftedSystem(1.0, math.inf, 1.0)):
-        first = _kept_mask([big, tiny, odd, tiny], op._kept_nodes([big, tiny, odd, tiny], op._spans[0]))
-        assert first == [True, False, True, True]
+        forms = _forms(op, [big, tiny, odd, tiny])
+        assert _kept_mask(forms, op._kept_nodes(forms, op._spans[0])) == [True, False, True, True]
 
 
-def _kept_mask(systems, kept):
-    """Whether ``DiagonalOperator._kept_nodes`` kept each of ``systems``, read
-    from its result ``kept``, which lists kept systems in node order."""
+def _forms(op, systems):
+    """The forms ``op.apply_sum`` gives ``DiagonalOperator._kept_nodes`` for
+    ``systems``, under the error state it computes them in."""
+    with np.errstate(all="ignore"):
+        return [op._form(s) for s in systems]
+
+
+def _kept_mask(forms, kept):
+    """Whether ``DiagonalOperator._kept_nodes`` kept each of ``forms``, read
+    from its result ``kept``, which lists kept forms in node order."""
     rest = [s for s, _ in kept]
     mask = []
-    for s in systems:
+    for s in forms:
         mask.append(bool(rest) and rest[0] is s)
         if mask[-1]:
             rest.pop(0)
@@ -1335,13 +1495,13 @@ def _kept_mask(systems, kept):
 
 def _recorded_bounds(monkeypatch):
     """Make ``DiagonalOperator._kept_nodes`` record, from any thread, which
-    systems each of its results keeps, as a ``_kept_mask``, in the list this
+    forms each of its results keeps, as a ``_kept_mask``, in the list this
     returns."""
     bounds, results = DiagonalOperator._kept_nodes, []
 
-    def recorded(systems, span):
-        kept = bounds(systems, span)
-        results.append(_kept_mask(systems, kept))
+    def recorded(forms, span):
+        kept = bounds(forms, span)
+        results.append(_kept_mask(forms, kept))
         return kept
 
     monkeypatch.setattr(DiagonalOperator, "_kept_nodes", staticmethod(recorded))
@@ -1361,7 +1521,8 @@ def test_diagonal_bounds_run_only_where_they_can_skip(monkeypatch):
     assert np.array_equal(got.view(np.int64), _coefficient_sum(op.entries, truncated, b).view(np.int64))
     # scales 1e40 apart, yet the second term is the larger: no block skips
     spread = [ShiftedSystem(1.0, 1.0, 1.0), ShiftedSystem(1e-60, 1e-60, 1e-40)]
-    assert all(all(_kept_mask(spread, op._kept_nodes(spread, span))) for span in op._spans)
+    forms = _forms(op, spread)
+    assert all(all(_kept_mask(forms, op._kept_nodes(forms, span))) for span in op._spans)
 
 
 def test_diagonal_skip_gate_is_a_cost_rule(monkeypatch):
